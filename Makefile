@@ -42,8 +42,11 @@ lint-flow:
 vet:
 	$(GO) vet ./...
 
+# The uncore line is the MSHR back-pressure microbenchmark (DESIGN.md §6):
+# 0 allocs/op, and ns/waited-cycle falling as the waiting list grows.
 bench-smoke:
 	$(GO) test -bench 'Fig3|RunLoop128Stalled' -benchtime 1x -run '^$$' ./
+	$(GO) test -bench 'MSHRSaturated' -benchtime 1x -benchmem -run '^$$' ./internal/uncore/
 
 # Superblock engine microbenchmarks: block-cached stepping vs the
 # single-step reference path, plus the 0 allocs/op pin on StepBlock.
@@ -113,8 +116,8 @@ mut-smoke:
 
 # Replay the pinned regression corpus (internal/mut/testdata/pinned/)
 # through the full oracle cascade: every pin must be killed by exactly
-# its designated layer. Opt-in via env because eight full cascades take
-# ~7 minutes on one core — too heavy for the default `go test ./...`.
+# its designated layer. Opt-in via env because nine full cascades take
+# ~8 minutes on one core — too heavy for the default `go test ./...`.
 mut-pinned:
 	COYOTE_MUT_PINNED=1 $(GO) test -count=1 -timeout 30m -run TestPinnedCorpus -v ./internal/mut/
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"github.com/coyote-sim/coyote/internal/ckpt"
 )
 
 func renderPRV(t *testing.T, tw *TraceWriter) []byte {
@@ -89,6 +91,52 @@ func TestCheckpointGolden(t *testing.T) {
 			})
 		}
 	}
+
+	// A point stopped in the middle of an MSHR storm: requests refused by
+	// full MSHR tables are on the uncore's waiting list when the machine is
+	// serialized, some with examinations skipped and not yet counted. The
+	// image must restore to the same bytes and resume to the same Result.
+	t.Run("mid-storm", func(t *testing.T) {
+		const name, stopAt = "copy-vector", 20000
+		params := Params{N: 49152, Cores: 16, Seed: 1}
+		cfg := DefaultConfig(16)
+		want, err := RunKernel(name, params, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "storm.ckpt")
+		if _, stopped, err := RunToCheckpoint(name, params, cfg, stopAt, path, nil); err != nil || !stopped {
+			t.Fatalf("checkpoint run: stopped=%v err=%v", stopped, err)
+		}
+		img, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		sys, err := img.Restore(nil)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if sys.Uncore.Waiting() == 0 {
+			t.Fatalf("test premise broken: no request waits on a full MSHR table at cycle %d", stopAt)
+		}
+		var again ckpt.Writer
+		if err := sys.CheckpointState(&again); err != nil {
+			t.Fatalf("re-checkpoint: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), img.State) {
+			t.Errorf("restore → re-checkpoint is not byte-identical (%d vs %d bytes)", again.Len(), len(img.State))
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if err := VerifyKernel(sys, name, params); err != nil {
+			t.Fatalf("resumed run produced wrong results: %v", err)
+		}
+		if got, want := canonical(res), canonical(want); got != want {
+			t.Errorf("restored run diverges from the uninterrupted run:\n--- uninterrupted\n%s--- restored\n%s", want, got)
+		}
+	})
 }
 
 // TestFunctionalFastForwardExact proves the functional mode is

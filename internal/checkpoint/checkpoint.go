@@ -1,7 +1,7 @@
 // Package checkpoint defines the on-disk simulator checkpoint format and
 // the save/load entry points the harness drivers use.
 //
-// # File format (SchemaVersion 1)
+// # File format (SchemaVersion 2)
 //
 //	offset  size  field
 //	0       8     magic "COYOCKPT"
@@ -33,6 +33,17 @@
 // misparsed; checkpoints are cheap to regenerate, so there are no
 // migration paths, only refusals (same stance as rcache: stale entries
 // are never found again).
+//
+// Version history:
+//
+//	1  first format.
+//	2  the uncore section lost each L2 bank's retry queue and gained, at
+//	   its end, the list of the requests waiting on a full MSHR table
+//	   (bank, request, cycle its counters are settled through, whether
+//	   the bank is unchanged since its last examination) and a second
+//	   one, empty after cycle 1, of those refused while the engine was
+//	   catching up; two more callbacks are registered per uncore, which
+//	   renumbers the handles stored in calendar events and completions.
 package checkpoint
 
 import (
@@ -57,7 +68,7 @@ const Magic = "COYOCKPT"
 // SchemaVersion versions the whole binary layout, including every
 // component serializer reached through core.System.CheckpointState. Bump
 // on any layout change; see the package comment.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Meta identifies the run a checkpoint belongs to.
 type Meta struct {

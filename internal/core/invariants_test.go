@@ -71,8 +71,9 @@ func TestTrafficConservationL1ToL2(t *testing.T) {
 	}
 	bankReads := sumCounter(res, "l2bank", ".reads")
 	bankWrites := sumCounter(res, "l2bank", ".writes")
-	// MSHR-full retries re-enter handle() and would double count; the
-	// default config has enough MSHRs that this workload has none.
+	// A request refused by a full MSHR table is looked up again every
+	// cycle it waits; the default config has enough MSHRs that this
+	// workload has none (TestTrafficConservationUnderPressure has them).
 	if conflicts := sumCounter(res, "l2bank", ".mshr_conflicts"); conflicts != 0 {
 		t.Fatalf("test premise broken: %d MSHR conflicts", conflicts)
 	}
@@ -97,6 +98,40 @@ func TestTrafficConservationL2ToMemory(t *testing.T) {
 	}
 	if got := res.MemWrites(); got != l2Writebacks {
 		t.Errorf("DRAM writes %d != L2 writebacks %d", got, l2Writebacks)
+	}
+}
+
+// TestTrafficConservationUnderPressure repeats both conservation laws on
+// a configuration whose two-entry MSHR tables refuse requests. The bank
+// counters reads/writes/misses count examinations — one per waiting
+// request per cycle — so requests are examinations minus refusals; the
+// L2→memory identities are about accepted misses and hold unchanged.
+func TestTrafficConservationUnderPressure(t *testing.T) {
+	res := runBusy(t, func(c *Config) { c.Uncore.L2MSHRs = 2 })
+	var l1Misses, l1Writebacks uint64
+	for _, h := range res.HartStats {
+		l1Misses += h.LoadMisses + h.StoreMisses + h.FetchMisses
+		l1Writebacks += h.Writebacks
+	}
+	conflicts := sumCounter(res, "l2bank", ".mshr_conflicts")
+	if conflicts == 0 {
+		t.Fatal("test premise broken: no MSHR conflicts with L2MSHRs=2")
+	}
+	examined := sumCounter(res, "l2bank", ".reads") + sumCounter(res, "l2bank", ".writes")
+	if got, want := examined-conflicts, l1Misses+l1Writebacks; got != want {
+		t.Errorf("L2 reads+writes-conflicts = %d, want L1 misses+writebacks %d (examined %d, refused %d)",
+			got, want, examined, conflicts)
+	}
+	// A refused examination is a tag miss and nothing else.
+	if got, want := sumCounter(res, "l2bank", ".hits")+sumCounter(res, "l2bank", ".misses")+
+		sumCounter(res, "l2bank", ".mshr_merges"), examined; got != want {
+		t.Errorf("L2 hits+misses+merges = %d, want %d examinations", got, want)
+	}
+	if got, want := res.MemReads(), sumCounter(res, "l2bank", ".misses_issued"); got != want {
+		t.Errorf("DRAM reads %d != L2 misses issued %d", got, want)
+	}
+	if got, want := res.MemWrites(), sumCounter(res, "l2bank", ".writebacks"); got != want {
+		t.Errorf("DRAM writes %d != L2 writebacks %d", got, want)
 	}
 }
 

@@ -70,6 +70,10 @@ type Engine struct {
 	executed uint64
 	pending  int // total queued events (ring + overflow)
 
+	// catchingUp is set while AdvanceTo or Drain runs the events of the
+	// cycle the clock already stood at on entry; see CatchingUp.
+	catchingUp bool
+
 	// Calendar ring: buckets[w & bucketMask] holds the events of cycle w
 	// for w in [base, base+bucketWindow). base tracks the clock, so each
 	// slot holds events of exactly one cycle. occ is the occupancy bitset
@@ -115,6 +119,15 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return e.pending }
+
+// CatchingUp reports whether the running event belongs to the cycle the
+// clock already stood at when the current AdvanceTo or Drain began. Such
+// an event was scheduled with zero delay after that cycle's own sweep had
+// finished — by code outside the engine, the orchestrator's core step —
+// so whatever it schedules queues behind everything that code scheduled,
+// whereas the cycle's regular events all queued ahead of it. A unit whose
+// ordering depends on that difference (uncore back-pressure) asks here.
+func (e *Engine) CatchingUp() bool { return e.catchingUp }
 
 // Schedule queues fn to run delay cycles from now. A delay of 0 runs the
 // event within the current AdvanceTo sweep (after already-queued events
@@ -328,15 +341,18 @@ func (e *Engine) AdvanceTo(target Cycle) {
 	if target < e.now {
 		panic(fmt.Sprintf("evsim: advance to %d before now %d", target, e.now))
 	}
+	entry := e.now
 	for e.pending > 0 {
 		t, _ := e.nextTime()
 		if t > target {
 			break
 		}
 		e.now = t
+		e.catchingUp = t == entry
 		e.slideTo(t)
 		e.runBucket(int(t) & bucketMask)
 	}
+	e.catchingUp = false
 	e.now = target
 	e.slideTo(target)
 	e.san.Counts(e.now, e.pending, e.inRing, len(e.overflow))
@@ -347,12 +363,15 @@ func (e *Engine) AdvanceTo(target Cycle) {
 //
 //coyote:allocfree
 func (e *Engine) Drain() Cycle {
+	entry := e.now
 	for e.pending > 0 {
 		t, _ := e.nextTime()
 		e.now = t
+		e.catchingUp = t == entry
 		e.slideTo(t)
 		e.runBucket(int(t) & bucketMask)
 	}
+	e.catchingUp = false
 	e.san.Counts(e.now, e.pending, e.inRing, len(e.overflow))
 	return e.now
 }

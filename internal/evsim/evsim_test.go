@@ -219,3 +219,32 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Errorf("Units() = %v", r.Units())
 	}
 }
+
+// CatchingUp is true exactly for events of the cycle the clock stood at
+// when the sweep began: scheduled with zero delay from outside the engine,
+// after that cycle's own events had run.
+func TestCatchingUp(t *testing.T) {
+	e := NewEngine()
+	var got []bool
+	note := func() { got = append(got, e.CatchingUp()) }
+	e.Schedule(3, note) // a regular event of cycle 3
+	e.AdvanceTo(3)
+	e.Schedule(0, note) // cycle 3 again, from outside, after its sweep
+	e.Schedule(1, note) // cycle 4
+	e.AdvanceTo(5)
+	e.Schedule(0, note) // same again through Drain
+	e.Schedule(2, note)
+	e.Drain()
+	want := []bool{false, true, false, true, false}
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d: CatchingUp() = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if e.CatchingUp() {
+		t.Error("CatchingUp() outside a sweep")
+	}
+}

@@ -15,7 +15,7 @@ import (
 // coyotesan workload loses a kill, the corpus fails before any real
 // mutation run would quietly report a weaker score.
 //
-// The full replay runs eight cascades end to end (~7 minutes on one
+// The full replay runs nine cascades end to end (~8 minutes on one
 // core), which would put this package alone near go test's default
 // 10-minute timeout — so it is opt-in: `make mut-pinned` (or the CI
 // coyotemut lane) sets COYOTE_MUT_PINNED=1 with an explicit -timeout.

@@ -54,7 +54,14 @@ import (
 // for a key that would hash the same. Stale on-disk entries are simply
 // never found again (the version is part of the directory layout), so a
 // bump is always safe and never requires a manual cache flush.
-const SchemaVersion = 2
+//
+// 3: requests refused by a full L2 MSHR table wait on one list instead of
+// re-entering their bank through an event each per cycle. Results are
+// identical wherever every fill is scheduled at least two cycles ahead —
+// any configuration with a DRAM and LLC latency of two cycles or more —
+// and can differ below that (DESIGN.md §6), so entries written by the
+// polling model must not be served.
+const SchemaVersion = 3
 
 // ExcludedConfigFields is the authoritative list of execution-strategy
 // Config fields deliberately omitted from the canonical key, as dotted

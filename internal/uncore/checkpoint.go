@@ -9,13 +9,15 @@ import (
 )
 
 // Checkpoint serializes the uncore's complete in-flight state: every
-// bank's tag array, MSHR table, retry FIFO and inbound port queues, the
-// LLC slices, the memory controllers' channel watermarks and open rows,
-// the MCPU descriptor table, and all statistics. The matching calendar
-// events are serialized by the engine; the two halves reference each
-// other only through registry handles and MCPU slot ids, both of which
-// are deterministic functions of the Config.
+// bank's tag array, MSHR table and inbound port queues, the list of
+// requests waiting on a full MSHR table, the LLC slices, the memory
+// controllers' channel watermarks and open rows, the MCPU descriptor
+// table, and all statistics. The matching calendar events are serialized
+// by the engine; the two halves reference each other only through
+// registry handles and MCPU slot ids, both of which are deterministic
+// functions of the Config.
 func (u *Uncore) Checkpoint(w *ckpt.Writer) error {
+	u.settle()
 	for _, b := range u.banks {
 		if err := b.checkpoint(w); err != nil {
 			return err
@@ -32,7 +34,7 @@ func (u *Uncore) Checkpoint(w *ckpt.Writer) error {
 	u.mcpu.checkpoint(w)
 	w.U64(u.noc.localMsgs)
 	w.U64(u.noc.remoteMsgs)
-	return nil
+	return u.checkpointWaiting(w)
 }
 
 // Restore reloads the state written by Checkpoint into a freshly
@@ -59,7 +61,84 @@ func (u *Uncore) Restore(r *ckpt.Reader) error {
 	}
 	u.noc.localMsgs = r.U64()
 	u.noc.remoteMsgs = r.U64()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return u.restoreWaiting(r)
+}
+
+// checkpointWaiting writes the waiting list, then the requests parked
+// while the engine was catching up (only a checkpoint of cycle 1 can find
+// any: later ones are examined within the sweep that parked them). Each
+// entry is bank, request, the cycle its counters are settled through, and
+// whether the bank is unchanged since its last examination. The
+// generation numbers themselves are not state — only "current or not"
+// decides what the next tick does — so a restored list starts them
+// afresh. The tick events are the engine's to restore.
+func (u *Uncore) checkpointWaiting(w *ckpt.Writer) error {
+	if u.ticking && u.tickedAt != u.eng.Now() {
+		return fmt.Errorf("uncore: checkpoint inside cycle %d: its back-pressure tick is still pending", u.eng.Now())
+	}
+	for _, list := range [][]waiter{u.waiting, u.late} {
+		w.U64(uint64(len(list)))
+		for _, wt := range list {
+			w.Int(wt.bank.id)
+			if err := ckptRequest(w, wt.req); err != nil {
+				return fmt.Errorf("uncore: waiting list: %w", err)
+			}
+			w.U64(wt.last)
+			w.Bool(wt.gen == wt.bank.gen)
+		}
+	}
+	return nil
+}
+
+func (u *Uncore) restoreWaiting(r *ckpt.Reader) error {
+	var err error
+	if u.waiting, err = u.restoreWaiters(r); err != nil {
+		return err
+	}
+	if u.late, err = u.restoreWaiters(r); err != nil {
+		return err
+	}
+	u.ticking = len(u.waiting) > 0
+	u.tickedAt = u.eng.Now()
+	u.stale = true // one scan re-derives it from the per-request flags
+	return nil
+}
+
+func (u *Uncore) restoreWaiters(r *ckpt.Reader) ([]waiter, error) {
+	n, err := restoreCount(r, waiterBytes)
+	if err != nil {
+		return nil, fmt.Errorf("uncore: waiting list: %w", err)
+	}
+	now := u.eng.Now()
+	list := make([]waiter, 0, n)
+	for i := 0; i < n; i++ {
+		id := r.Int()
+		req, err := restoreRequest(r, u.eng)
+		if err != nil {
+			return nil, fmt.Errorf("uncore: waiting list: %w", err)
+		}
+		last := r.U64()
+		current := r.Bool()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if id < 0 || id >= len(u.banks) {
+			return nil, fmt.Errorf("uncore: waiting list names bank %d of %d", id, len(u.banks))
+		}
+		if last > now {
+			return nil, fmt.Errorf("uncore: waiting request last examined at cycle %d, after the checkpoint's %d", last, now)
+		}
+		b := u.banks[id]
+		wt := waiter{bank: b, req: req, last: last, gen: b.gen}
+		if !current {
+			wt.gen--
+		}
+		list = append(list, wt)
+	}
+	return list, nil
 }
 
 // ckptDone writes a completion token as (handle, arg). A completion built
@@ -113,13 +192,37 @@ func ckptRequests(w *ckpt.Writer, reqs []Request) error {
 	return nil
 }
 
-func restoreRequests(r *ckpt.Reader, eng *evsim.Engine) ([]Request, error) {
+// Encoded sizes: a Request is tile(8) + addr(8) + write(1) + done handle(4)
+// + done arg(8); a waiting-list entry adds bank(8) + last(8) + current(1).
+// An MCPU slot is active(1) + write(1) + remaining(8) + done(12) + line
+// count(8) before its lines.
+const (
+	requestBytes = 29
+	waiterBytes  = requestBytes + 17
+	minTxnBytes  = 30
+)
+
+// restoreCount reads an element count and refuses one the rest of the
+// section could not hold at elemBytes apiece — so a corrupt or hostile
+// length costs an error, never an allocation sized by the attacker.
+func restoreCount(r *ckpt.Reader, elemBytes int) (int, error) {
 	n := r.U64()
 	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Remaining()/elemBytes) {
+		return 0, fmt.Errorf("uncore: checkpoint claims %d entries of %d bytes with %d bytes left", n, elemBytes, r.Remaining())
+	}
+	return int(n), nil
+}
+
+func restoreRequests(r *ckpt.Reader, eng *evsim.Engine) ([]Request, error) {
+	n, err := restoreCount(r, requestBytes)
+	if err != nil {
 		return nil, err
 	}
 	reqs := make([]Request, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		req, err := restoreRequest(r, eng)
 		if err != nil {
 			return nil, err
@@ -153,9 +256,6 @@ func (b *L2Bank) checkpoint(w *ckpt.Writer) error {
 		}
 	}
 
-	if err := ckptRequests(w, b.retryQ[b.retryHead:]); err != nil {
-		return fmt.Errorf("uncore: bank %d: retry queue: %w", b.id, err)
-	}
 	if err := ckptRequests(w, b.localIn.Pending()); err != nil {
 		return fmt.Errorf("uncore: bank %d: local port: %w", b.id, err)
 	}
@@ -218,13 +318,6 @@ func (b *L2Bank) restore(r *ckpt.Reader) error {
 	if int(nMSHR) > b.peakMSHR {
 		b.peakMSHR = int(nMSHR)
 	}
-
-	retryQ, err := restoreRequests(r, eng)
-	if err != nil {
-		return fmt.Errorf("uncore: bank %d: retry queue: %w", b.id, err)
-	}
-	b.retryQ = retryQ
-	b.retryHead = 0
 
 	localPend, err := restoreRequests(r, eng)
 	if err != nil {
@@ -390,8 +483,8 @@ func (m *MCPU) checkpoint(w *ckpt.Writer) error {
 
 func (m *MCPU) restore(r *ckpt.Reader) error {
 	eng := m.u.eng
-	n := r.U64()
-	if err := r.Err(); err != nil {
+	n, err := restoreCount(r, minTxnBytes)
+	if err != nil {
 		return err
 	}
 	m.txns = make([]gatherTxn, n)
@@ -405,8 +498,8 @@ func (m *MCPU) restore(r *ckpt.Reader) error {
 			return err
 		}
 		t.done = d
-		nl := r.U64()
-		if err := r.Err(); err != nil {
+		nl, err := restoreCount(r, 8)
+		if err != nil {
 			return err
 		}
 		t.lines = make([]uint64, nl)
@@ -414,14 +507,14 @@ func (m *MCPU) restore(r *ckpt.Reader) error {
 			t.lines[j] = r.U64()
 		}
 	}
-	nf := r.U64()
-	if err := r.Err(); err != nil {
+	nf, err := restoreCount(r, 4)
+	if err != nil {
 		return err
 	}
 	m.free = make([]uint32, nf)
 	for i := range m.free {
 		id := r.U32()
-		if uint64(id) >= n {
+		if int(id) >= n {
 			return fmt.Errorf("uncore: mcpu free list names slot %d of %d", id, n)
 		}
 		m.free[i] = id

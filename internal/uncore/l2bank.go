@@ -26,15 +26,16 @@ type mshrEntry struct {
 }
 
 // L2Bank is one bank of the L2 cache: a tag array with MSHRs. Misses are
-// merged per line; when the MSHR table is full the request retries next
-// cycle (counted as a conflict, the back-pressure the paper's
-// "maximum number of in-flight misses" parameter controls).
+// merged per line; when the MSHR table is full the request is refused
+// (counted as a conflict, the back-pressure the paper's "maximum number of
+// in-flight misses" parameter controls) and waits on the uncore's waiting
+// list, which examines it again once a cycle (backpressure.go).
 //
 // The steady-state miss path is allocation-free AND closure-free: requests
 // arrive by value through per-bank inbound ports, each outstanding miss
 // rides two registered per-bank callbacks (issue, fill) whose word of
 // context packs the line address with the routing flags, waiter lists are
-// recycled slices of Done values, and retries/writebacks ride the engine's
+// recycled slices of Done values, and writebacks ride the engine's
 // arg-carrying events. Every scheduled event therefore carries a registry
 // handle, which is what lets the calendar be checkpointed.
 type L2Bank struct {
@@ -62,13 +63,12 @@ type L2Bank struct {
 	fillFn  func(uint64)
 	fillH   evsim.Handle
 
-	// Retry FIFO for MSHR structural conflicts: requests park here and a
-	// pre-bound retryFn event pops one per scheduled retry. FIFO order
-	// matches the old closure-per-retry behaviour exactly.
-	retryQ    []Request
-	retryHead int
-	retryFn   func(uint64)
-	retryH    evsim.Handle
+	// gen counts the changes to this bank's MSHR set or tag residency: it
+	// is bumped wherever an MSHR entry is inserted or released and by
+	// functional warming. A waiting request whose last examination saw the
+	// current gen would be refused again with no effect on simulated
+	// state, which is what lets the waiting list skip it.
+	gen uint64
 
 	wbFn func(uint64) // pre-bound writeback issue; arg is the line address
 	wbH  evsim.Handle
@@ -97,23 +97,12 @@ func newL2Bank(id, tile int, u *Uncore) (*L2Bank, error) {
 	}
 	b.san.Init(fmt.Sprintf("l2bank%d.mshr", id), u.cfg.L2MSHRs)
 	tags.SetSanName(fmt.Sprintf("l2bank%d.tags", id))
-	b.localIn = evsim.NewPort(u.eng, u.cfg.LocalLatency, b.handle)
-	b.remoteIn = evsim.NewPort(u.eng, u.cfg.NoCLatency, b.handle)
+	b.localIn = evsim.NewPort(u.eng, u.cfg.LocalLatency, b.arrive)
+	b.remoteIn = evsim.NewPort(u.eng, u.cfg.NoCLatency, b.arrive)
 	b.issueFn = b.issue
 	b.issueH = u.eng.RegisterFn(b.issueFn)
 	b.fillFn = b.fillEvent
 	b.fillH = u.eng.RegisterFn(b.fillFn)
-	b.retryFn = func(uint64) {
-		req := b.retryQ[b.retryHead]
-		b.retryQ[b.retryHead] = Request{}
-		b.retryHead++
-		if b.retryHead == len(b.retryQ) {
-			b.retryQ = b.retryQ[:0]
-			b.retryHead = 0
-		}
-		b.handle(req)
-	}
-	b.retryH = u.eng.RegisterFn(b.retryFn)
 	b.wbFn = func(addr uint64) { b.u.memSide(addr, true, 0, Done{}) }
 	b.wbH = u.eng.RegisterFn(b.wbFn)
 	return b, nil
@@ -163,15 +152,45 @@ func (b *L2Bank) ID() int { return b.id }
 func (b *L2Bank) Tile() int { return b.tile }
 
 // CacheStats exposes the tag-array statistics.
-func (b *L2Bank) CacheStats() cache.Stats { return b.tags.Stats }
+func (b *L2Bank) CacheStats() cache.Stats {
+	b.u.settle()
+	return b.tags.Stats
+}
 
-// Accesses returns the total number of lookups handled.
-func (b *L2Bank) Accesses() uint64 { return b.reads + b.writes }
+// Accesses returns the total number of lookups handled. Like reads, writes
+// and the tag store's Misses it counts examinations, not requests: a
+// request refused by a full MSHR table is looked up again every cycle it
+// waits (mshr_conflicts counts those).
+func (b *L2Bank) Accesses() uint64 {
+	b.u.settle()
+	return b.reads + b.writes
+}
 
-// handle processes a request that has arrived at the bank.
+// changed records that the bank's MSHR set or tag residency moved, so
+// every request waiting on this bank is examined at the next tick.
+func (b *L2Bank) changed() {
+	b.gen++
+	b.u.stale = true
+}
+
+// arrive is the sink of both inbound ports: a request the bank refuses
+// joins the uncore's waiting list.
 //
 //coyote:allocfree
-func (b *L2Bank) handle(req Request) {
+func (b *L2Bank) arrive(req Request) {
+	if !b.handle(req) {
+		b.u.park(b, req)
+	}
+}
+
+// handle examines a request at the bank — on arrival, and again from the
+// waiting list while it is refused. It reports false when the request
+// missed into a full MSHR table: the lookup is counted, any victim the
+// allocation evicted stays evicted, the line itself is not kept, and the
+// caller is expected to present the request again.
+//
+//coyote:allocfree
+func (b *L2Bank) handle(req Request) bool {
 	if req.Write {
 		b.writes++
 	} else {
@@ -192,7 +211,7 @@ func (b *L2Bank) handle(req Request) {
 			e.state = mshrDemand // a waiter attached: promote prefetch entries
 			b.mshr[req.Addr] = e
 		}
-		return
+		return true
 	}
 
 	res := b.tags.Access(req.Addr, req.Write)
@@ -206,19 +225,19 @@ func (b *L2Bank) handle(req Request) {
 			delay := b.u.cfg.L2HitLatency + b.u.noc.delay(b.tile != req.Tile)
 			b.u.eng.ScheduleArgH(delay, req.Done.F, req.Done.Arg, req.Done.H)
 		}
-		return
+		return true
 	}
 
 	// Miss. The Access above already allocated the tag (fill-on-miss
 	// model); the MSHR tracks the outstanding memory fetch.
 	if len(b.mshr) >= b.u.cfg.L2MSHRs {
-		// Structural hazard: undo nothing (tags are timing-only), retry
-		// the transaction next cycle.
+		// Structural hazard: refuse. The victim the allocation evicted is
+		// gone for good (tags are timing-only), the line itself is handed
+		// back so it is not claimed before an examination succeeds — which
+		// leaves a free way, so a repeat examination evicts nothing.
 		b.mshrConflicts++
-		b.tags.Invalidate(req.Addr) // do not claim the line before the retry succeeds
-		b.retryQ = append(b.retryQ, req)
-		b.u.eng.ScheduleArgH(1, b.retryFn, 0, b.retryH)
-		return
+		b.tags.Invalidate(req.Addr)
+		return false
 	}
 	var waiters []Done
 	if req.Done.F != nil {
@@ -227,6 +246,7 @@ func (b *L2Bank) handle(req Request) {
 	}
 	b.san.Insert(b.u.eng.Now(), req.Addr)
 	b.mshr[req.Addr] = mshrEntry{state: mshrDemand, waiters: waiters}
+	b.changed() // also covers the prefetch entries this examination inserts below
 	if n := len(b.mshr); n > b.peakMSHR {
 		b.peakMSHR = n
 	}
@@ -246,7 +266,7 @@ func (b *L2Bank) handle(req Request) {
 	addr := req.Addr
 	lineBytes := uint64(b.u.cfg.L2.LineBytes)
 	// Prefetches may use at most half the MSHRs, so demand misses are
-	// never starved into retry storms by speculative traffic.
+	// never refused for long because of speculative traffic.
 	prefetchBudget := b.u.cfg.L2MSHRs / 2
 	for d := 1; d <= b.u.cfg.PrefetchDepth; d++ {
 		pa := addr + uint64(d)*lineBytes
@@ -267,6 +287,7 @@ func (b *L2Bank) handle(req Request) {
 		b.prefetches++
 		b.u.eng.ScheduleArgH(toMem, b.issueFn, pa<<2, b.issueH)
 	}
+	return true
 }
 
 // fill completes an outstanding miss: release all merged waiters after
@@ -279,6 +300,7 @@ func (b *L2Bank) fill(addr uint64, remoteReq bool) {
 	e := b.mshr[addr]
 	b.san.Release(b.u.eng.Now(), addr)
 	delete(b.mshr, addr)
+	b.changed()
 	if !b.tags.Probe(addr) {
 		if res := b.tags.Fill(addr); res.HasWriteback {
 			b.writebackToMem(res.Writeback)
@@ -317,6 +339,7 @@ func (b *L2Bank) Name() string { return fmt.Sprintf("l2bank%d", b.id) }
 
 // Counters implements evsim.Unit.
 func (b *L2Bank) Counters() map[string]uint64 {
+	b.u.settle()
 	s := b.tags.Stats
 	return map[string]uint64{
 		"reads":          b.reads,

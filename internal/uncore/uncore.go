@@ -206,6 +206,8 @@ type Uncore struct {
 	noc   *NoC
 	reg   evsim.Registry
 
+	backpressure // requests refused by a full L2 MSHR table (backpressure.go)
+
 	lineShift uint
 
 	// bankShift/bankMask/bankShared are bankFor's mapping, folded to a
@@ -262,6 +264,10 @@ func New(cfg Config, eng *evsim.Engine) (*Uncore, error) {
 	default: // unknown policies behave like SetInterleave
 		u.bankShift = u.lineShift
 	}
+	u.tickFn = u.tick
+	u.tickH = eng.RegisterFn(u.tickFn)
+	u.lateFn = u.lateTick
+	u.lateH = eng.RegisterFn(u.lateFn)
 	u.bankShared = cfg.L2Shared
 	if cfg.L2Shared {
 		u.bankMask = uint64(len(u.banks) - 1)
@@ -312,6 +318,10 @@ func (u *Uncore) memSide(addr uint64, write bool, extraDelay evsim.Cycle, done D
 	u.mcs[idx].request(addr, write, extraDelay, done)
 }
 
+// Waiting returns how many requests a full L2 MSHR table has refused and
+// that are waiting to be examined again.
+func (u *Uncore) Waiting() int { return len(u.waiting) + len(u.late) }
+
 // LLCs returns the LLC slices (nil when disabled).
 func (u *Uncore) LLCs() []*LLCSlice { return u.llcs }
 
@@ -335,13 +345,17 @@ func (u *Uncore) Submit(req Request) {
 
 // Audit asserts the uncore's end-of-run invariants in the coyotesan
 // build: no MSHR still holds an in-flight line after the engine drained
-// (a leaked entry means a fill was dropped), and every tag store agrees
-// with its shadow directory. No-op in the default build.
+// (a leaked entry means a fill was dropped), no refused request is still
+// waiting for one, and every tag store agrees with its shadow directory.
+// No-op in the default build.
 func (u *Uncore) Audit() {
 	if !san.Enabled {
 		return
 	}
 	now := u.eng.Now()
+	san.Check(u.Waiting() == 0 && !u.ticking, now, "l2bank.waiting",
+		"requests still wait on a full MSHR table after the engine drained",
+		uint64(len(u.waiting)), uint64(len(u.late)))
 	for _, b := range u.banks {
 		b.san.Drained(now)
 		b.tags.Occupancy() // cross-checks the tag store against its shadow
@@ -358,6 +372,7 @@ func (u *Uncore) Snapshot() map[string]uint64 { return u.reg.Snapshot() }
 // ResetStats zeroes every unit's counters while leaving cache contents,
 // open rows and in-flight state untouched — the warm-up/measure split.
 func (u *Uncore) ResetStats() {
+	u.settle() // examinations skipped so far belong to the window being discarded
 	for _, b := range u.banks {
 		b.tags.ResetStats()
 		b.reads, b.writes, b.missesIssued = 0, 0, 0

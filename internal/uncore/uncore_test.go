@@ -1,10 +1,14 @@
 package uncore
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"github.com/coyote-sim/coyote/internal/cache"
+	"github.com/coyote-sim/coyote/internal/ckpt"
 	"github.com/coyote-sim/coyote/internal/evsim"
+	"github.com/coyote-sim/coyote/internal/san"
 )
 
 func testConfig() Config {
@@ -208,15 +212,45 @@ func TestMSHRConflictBackpressure(t *testing.T) {
 	u, eng := newTestUncore(t, cfg)
 	done := 0
 	// 8 distinct lines → 8 misses into a 2-entry MSHR.
-	for i := uint64(0); i < 8; i++ {
+	const n = 8
+	for i := uint64(0); i < n; i++ {
 		u.Submit(Request{Tile: 0, Addr: i * 64, Done: FuncDone(func() { done++ })})
 	}
-	eng.Drain()
-	if done != 8 {
-		t.Fatalf("completions = %d, want 8", done)
+	// Step a cycle at a time and count, from outside, the request-cycles
+	// spent waiting: a request that has arrived and is not yet accepted at
+	// the end of a cycle was examined and refused in it.
+	b := u.Banks()[0]
+	var waited uint64
+	for eng.Pending() > 0 {
+		eng.AdvanceTo(eng.Now() + 1)
+		if eng.Now() >= cfg.LocalLatency && b.missesIssued < n {
+			waited += n - b.missesIssued
+		}
+		// A reader between ticks sees every examination so far, whether the
+		// waiting list ran it or skipped it and owes the count.
+		if got := b.Counters()["mshr_conflicts"]; got != waited {
+			t.Fatalf("cycle %d: mshr_conflicts = %d, want %d", eng.Now(), got, waited)
+		}
 	}
-	if u.Banks()[0].mshrConflicts == 0 {
-		t.Error("expected MSHR conflicts under pressure")
+	if done != n {
+		t.Fatalf("completions = %d, want %d", done, n)
+	}
+	if waited == 0 {
+		t.Fatal("expected requests to wait under pressure")
+	}
+	// mshr_conflicts counts examinations, one per waiting request per
+	// cycle: the sum over requests of cycles waited.
+	if got := b.mshrConflicts; got != waited {
+		t.Errorf("mshr_conflicts = %d, want %d (sum over requests of cycles waited)", got, waited)
+	}
+	if got := b.Accesses(); got != n+waited {
+		t.Errorf("accesses = %d, want %d requests + %d refused examinations", got, n, waited)
+	}
+	if got := b.CacheStats().Misses; got != n+waited {
+		t.Errorf("tag misses = %d, want %d", got, n+waited)
+	}
+	if len(u.waiting) != 0 || u.ticking {
+		t.Errorf("waiting list not drained: %d waiting, ticking=%v", len(u.waiting), u.ticking)
 	}
 }
 
@@ -316,5 +350,156 @@ func TestParseMapping(t *testing.T) {
 	}
 	if SetInterleave.String() != "set-interleave" || PageToBank.String() != "page-to-bank" {
 		t.Error("mapping names wrong")
+	}
+}
+
+// Functional warming changes a bank's tags without passing through the
+// MSHR machinery; a request left waiting by the timed window must still
+// be looked at again, and find the line warming brought in.
+func TestWarmAccessWakesWaitingRequest(t *testing.T) {
+	cfg := testConfig()
+	cfg.L2MSHRs = 1
+	cfg.Tiles = 1
+	cfg.BanksPerTile = 1
+	cfg.MemCtrls = 1
+	u, eng := newTestUncore(t, cfg)
+	var firstAt, secondAt evsim.Cycle
+	u.Submit(Request{Tile: 0, Addr: 0x000, Done: FuncDone(func() { firstAt = eng.Now() })})
+	u.Submit(Request{Tile: 0, Addr: 0x400, Done: FuncDone(func() { secondAt = eng.Now() })})
+	eng.AdvanceTo(cfg.LocalLatency + 5)
+	if u.Waiting() != 1 {
+		t.Fatalf("test premise broken: %d requests waiting, want 1", u.Waiting())
+	}
+	u.WarmAccess(0, 0x400, false)
+	warmedAt := eng.Now()
+	eng.Drain()
+	// Examined at the next tick, it hits: lookup plus the return hop.
+	if want := warmedAt + 1 + cfg.L2HitLatency + cfg.LocalLatency; secondAt != want {
+		t.Errorf("waiting request completed at cycle %d, want %d (a hit one cycle after warming)", secondAt, want)
+	}
+	if secondAt >= firstAt {
+		t.Errorf("waiting request (cycle %d) should not have waited for the in-flight miss (cycle %d)", secondAt, firstAt)
+	}
+	if got, want := u.Banks()[0].mshrConflicts, uint64(warmedAt+1-cfg.LocalLatency); got != want {
+		t.Errorf("mshr_conflicts = %d, want %d: one per cycle waited", got, want)
+	}
+}
+
+// The waiting list keeps the order per-cycle retry events would run in: a
+// request refused ahead of its cycle's tick goes to the head, behind the
+// others of that cycle; one refused after the tick goes to the tail; one
+// refused while the engine catches up on a cycle joins the tail a cycle
+// later, behind that cycle's after-tick arrivals.
+func TestWaitingListOrder(t *testing.T) {
+	if san.Enabled {
+		t.Skip("parks requests no bank refused; the sanitizer examines them and rightly objects")
+	}
+	cfg := testConfig()
+	u, eng := newTestUncore(t, cfg)
+	b := u.Banks()[0]
+	park := func(names ...uint64) func() {
+		return func() {
+			for _, n := range names {
+				u.park(b, Request{Addr: n})
+			}
+		}
+	}
+	const A, B, C, D, E, F, G = 1, 2, 3, 4, 5, 6, 7
+	eng.Schedule(2, park(C, D)) // queued first: runs ahead of cycle 2's tick
+	eng.Schedule(1, func() {
+		park(A, B)()             // first refusals: they start the ticks
+		eng.Schedule(1, park(E)) // queued after the tick of cycle 2 was
+	})
+	eng.AdvanceTo(2)
+	eng.Schedule(1, park(G)) // cycle 3, after its tick
+	eng.Schedule(0, park(F)) // cycle 2 again: the engine is past its sweep
+	eng.AdvanceTo(3)
+	var got []uint64
+	for _, w := range u.waiting {
+		got = append(got, w.req.Addr)
+	}
+	want := []uint64{C, D, A, B, E, G, F}
+	if len(got) != len(want) {
+		t.Fatalf("waiting list %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("waiting list %v, want %v", got, want)
+		}
+	}
+	if len(u.late) != 0 || !u.ticking {
+		t.Errorf("late=%d ticking=%v, want 0 and true", len(u.late), u.ticking)
+	}
+}
+
+// A checkpoint taken while requests wait — on the list and, with
+// zero-latency hops at cycle 0, still parked from the catch-up — restores
+// to the same bytes and resumes to the same completions and counters.
+func TestCheckpointWaitingRequests(t *testing.T) {
+	type rig struct {
+		u      *Uncore
+		eng    *evsim.Engine
+		doneAt []evsim.Cycle
+		done   Done
+	}
+	for _, hop := range []evsim.Cycle{0, 2} {
+		cfg := testConfig()
+		cfg.Tiles, cfg.BanksPerTile, cfg.MemCtrls, cfg.L2MSHRs = 1, 1, 1, 1
+		cfg.LocalLatency = hop
+		build := func() *rig {
+			g := &rig{eng: evsim.NewEngine()}
+			g.done.F = func(uint64) { g.doneAt = append(g.doneAt, g.eng.Now()) }
+			g.done.H = g.eng.RegisterFn(g.done.F)
+			var err error
+			if g.u, err = New(cfg, g.eng); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		submit := func(g *rig) {
+			for i := uint64(0); i < 4; i++ {
+				g.u.Submit(Request{Addr: i << 10, Done: g.done})
+			}
+		}
+		save := func(g *rig) []byte {
+			var w ckpt.Writer
+			if err := g.eng.Checkpoint(&w); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.u.Checkpoint(&w); err != nil {
+				t.Fatal(err)
+			}
+			return w.Bytes()
+		}
+		ref := build()
+		submit(ref)
+		ref.eng.Drain()
+
+		stopped := build()
+		submit(stopped)
+		stopped.eng.AdvanceTo(hop)
+		if u := stopped.u; hop == 0 && len(u.late) != 3 || hop != 0 && len(u.waiting) != 3 {
+			t.Fatalf("hop %d: test premise broken: %d waiting, %d late", hop, len(u.waiting), len(u.late))
+		}
+		img := save(stopped)
+
+		resumed := build()
+		r := ckpt.NewReader(img)
+		if err := resumed.eng.Restore(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.u.Restore(r); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(save(resumed), img) {
+			t.Errorf("hop %d: restore → re-checkpoint is not byte-identical", hop)
+		}
+		resumed.eng.Drain()
+		if fmt.Sprint(resumed.doneAt) != fmt.Sprint(ref.doneAt) || len(ref.doneAt) != 4 {
+			t.Errorf("hop %d: restored run completes at %v, uninterrupted at %v", hop, resumed.doneAt, ref.doneAt)
+		}
+		if got, want := fmt.Sprint(resumed.u.Snapshot()), fmt.Sprint(ref.u.Snapshot()); got != want {
+			t.Errorf("hop %d: restored counters\n%s\nuninterrupted\n%s", hop, got, want)
+		}
 	}
 }

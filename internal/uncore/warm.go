@@ -26,6 +26,7 @@ func (u *Uncore) WarmAccess(tile int, addr uint64, write bool) {
 		b.reads++
 	}
 	res := b.tags.WarmAccess(addr, write)
+	b.changed() // a request left waiting by the timed window must look again
 	if res.HasWriteback {
 		u.warmMemSide(res.Writeback, true)
 	}
