@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: all build test race golden-workers lint lint-flow vet bench-smoke bench-block san fuzz cache-bench checkpoint sample mut mut-smoke mut-pinned ci
+.PHONY: all build test race golden-workers lint lint-flow vet bench-smoke bench-block ab san fuzz cache-bench checkpoint sample mut mut-smoke mut-pinned ci
 
 all: build test lint
 
@@ -52,6 +52,14 @@ bench-smoke:
 # single-step reference path, plus the 0 allocs/op pin on StepBlock.
 bench-block:
 	$(GO) test -bench 'StepBlock' -benchmem -run '^$$' ./internal/cpu/
+
+# The ten-pair rule (bench/README.md, EXPERIMENTS.md): the repository's
+# benchmark at BASE against HEAD, seeds 1-10 on all four workloads, sides
+# alternating; prints EXPERIMENTS.md's tables and fails on any end-to-end
+# metric worse than its BENCHMARK.json bound. About forty minutes.
+#   make ab BASE=<rev> [HEAD=<rev>]
+ab:
+	scripts/abpairs.sh $(BASE) $(HEAD)
 
 # Sanitizer lane (DESIGN.md §10): the full test suite with the coyotesan
 # runtime invariant checkers compiled in. The golden tests passing here

@@ -158,6 +158,9 @@ func Load(path string) (*Image, error) {
 	return Decode(raw)
 }
 
+// traceEventBytes is one trace.Event in the payload: four 8-byte fields.
+const traceEventBytes = 32
+
 // Decode parses checkpoint file bytes (the testable core of Load).
 func Decode(raw []byte) (*Image, error) {
 	head := len(Magic) + 12
@@ -205,6 +208,11 @@ func Decode(raw []byte) (*Image, error) {
 	nEv := r.U64()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	// A valid checksum does not vouch for the writer: refuse a count the
+	// rest of the payload could not hold before allocating by it.
+	if nEv > uint64(r.Remaining()/traceEventBytes) {
+		return nil, fmt.Errorf("checkpoint: trace claims %d events of %d bytes with %d bytes left", nEv, traceEventBytes, r.Remaining())
 	}
 	img.TraceEvents = make([]trace.Event, 0, nEv)
 	for i := uint64(0); i < nEv; i++ {

@@ -177,3 +177,31 @@ func TestHostileLengthRejected(t *testing.T) {
 		t.Errorf("restore allocated %d MB before refusing the length", grew>>20)
 	}
 }
+
+// TestHostileTraceCountRejected: the trace-event count sits in the file
+// payload itself, ahead of the machine state. With a valid checksum and a
+// count of 2^40, Decode must return an error without allocating 32 TB.
+func TestHostileTraceCountRejected(t *testing.T) {
+	raw, err := os.ReadFile(saveMidRun(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the count: the events, the last-cycle word, the state's length
+	// prefix, the state. Then the checksum.
+	payloadEnd := len(raw) - sha256.Size
+	count := payloadEnd - len(img.State) - 8 - 8 - traceEventBytes*len(img.TraceEvents) - 8
+	if got := binary.LittleEndian.Uint64(raw[count:]); got != uint64(len(img.TraceEvents)) || got == 0 {
+		t.Fatalf("cannot locate the trace-event count (read %d, image has %d)", got, len(img.TraceEvents))
+	}
+	bad := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(bad[count:], 1<<40)
+	sum := sha256.Sum256(bad[:payloadEnd])
+	copy(bad[payloadEnd:], sum[:])
+	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "trace claims") {
+		t.Fatalf("hostile trace-event count: got %v, want a trace-count error", err)
+	}
+}

@@ -101,6 +101,7 @@ func (s *System) RestoreState(r *ckpt.Reader) error {
 	if err := s.Mem.Restore(r); err != nil {
 		return err
 	}
+	s.decodeText() // the restored text may have been patched (store + fence.i) before the checkpoint
 	if err := s.Eng.Restore(r); err != nil {
 		return err
 	}

@@ -154,10 +154,19 @@ func (s *System) Cycle() uint64 { return s.cycle }
 func (s *System) LoadProgram(p *asm.Program) {
 	p.LoadInto(s.Mem)
 	s.prog = p
+	s.decodeText()
 	for i, h := range s.Harts {
 		h.PC = p.Entry
 		h.X[2] = s.cfg.StackTop - uint64(i)*s.cfg.StackSize // sp
-		h.FlushDecodeCache()                                // text may overwrite a previous image
+	}
+}
+
+// decodeText gives every hart one shared pre-decoded image of the loaded
+// program's text as it stands in memory.
+func (s *System) decodeText() {
+	text := cpu.NewText(s.Mem, s.prog.TextBase, (len(s.prog.Text)+3)/4)
+	for _, h := range s.Harts {
+		h.SetText(text)
 	}
 }
 

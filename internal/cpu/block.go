@@ -9,57 +9,28 @@ import (
 
 // Superblock execution engine.
 //
-// The per-PC stepCache already removes decode work from the hot loop, but
-// every retired instruction still pays a full Step call: L1I line check,
-// cache probe, scoreboard test, orchestrator return. For straight-line
-// code — the overwhelming majority of kernel instructions — all of that
-// bookkeeping is predictable in advance. A blockEntry caches a decoded
-// straight-line run ("superblock") starting at its PC, terminated by the
-// first instruction that can redirect or leave the fast path:
+// Every retired instruction of a Step call pays the full entry: L1I line
+// check, cache probe, scoreboard test, orchestrator return. For
+// straight-line code — the overwhelming majority of kernel instructions —
+// all of that bookkeeping is predictable in advance. The text image
+// (text.go) marks, at every instruction, the straight-line run that
+// starts there ("superblock"): it ends with the next branch, jal or jalr,
+// folded in as its last instruction, or before the next instruction that
+// must leave the fast path (system, atomic, undecodable).
 //
-//   - system instructions (ClassSystem: ecall/ebreak/fence/fence.i, CSR
-//     ops, the vsetvl family — anything that can read batched counters or
-//     change LMUL),
-//   - atomics (ClassAtomic: refuse to run speculatively),
-//   - undecodable words (the architectural single-step path owns faults),
-//   - the configured maximum block length.
-//
-// Control flow (ClassBranch: branches, jal, jalr) also ends a block, but
-// as its *last* instruction rather than by exclusion: the execution loop
-// below advances pc to whatever nextPC execute produced, so a trailing
-// branch retires inside the block and redirects the hart in one call —
-// a loop iteration costs one StepBlock entry, never a single-step detour.
-// Only the final element of a block can be a branch, by construction.
-//
-// StepBlock executes the cached run in one tight loop and is semantically
+// StepBlock executes such a run in one tight loop and is semantically
 // exactly  "call Step up to max times":  same per-instruction L1I timing,
 // same scoreboard stalls, same events in the same order — it only batches
 // the Instret and same-line L1I hit counters (flushed before returning)
 // and lets the orchestrator dispatch the accumulated events once per call
-// instead of once per instruction. Blocks are built at every entry PC, so
-// a branch into the middle of a cached run simply builds (or hits) the
-// suffix block starting there; no per-hart resume state exists.
+// instead of once per instruction. The execution loop advances pc to
+// whatever nextPC execute produced, so a trailing branch retires inside
+// the block and redirects the hart in one call — a loop iteration costs
+// one StepBlock entry, never a single-step detour. No per-hart resume
+// state exists: a block is a slice of the image.
 //
-// Terminators execute through the plain Step path: a blockEntry whose
-// first instruction terminates caches an empty run (n == 0), and
-// StepBlock falls back to a single Step for it.
-type blockEntry struct {
-	pc    uint64
-	code  []blockInstr
-	valid bool
-}
-
-// blockInstr is one pre-decoded instruction of a superblock. The usage
-// masks are refreshed in place when LMUL changed since they were computed
-// (a vsetvl terminates every block, so LMUL is constant *within* a block,
-// but a cached block can be re-entered under a different LMUL).
-type blockInstr struct {
-	in    riscv.Instr
-	use   riscv.RegUse
-	lmul  uint8
-	isVec bool
-	fast  uint8 // fastNone or the functional-loop inline class, see fastClass
-}
+// Terminators execute through the plain Step path: their run is zero, and
+// StepBlock falls back to a single Step for them.
 
 // Inline classes for StepBlockFunctional: the handful of opcodes that
 // dominate scalar HPC kernels execute directly in the functional loop,
@@ -86,7 +57,7 @@ const (
 )
 
 // fastClass assigns a blockInstr its functional-loop inline class. Cold
-// path: runs once per instruction per block build.
+// path: runs once per instruction per image load.
 func fastClass(op riscv.Op) uint8 {
 	switch op {
 	case riscv.OpADDI:
@@ -123,67 +94,8 @@ func fastClass(op riscv.Op) uint8 {
 	return fastNone
 }
 
-const blockCacheSize = 512 // direct-mapped, same indexing as stepCache
-
-// blockTerminates reports whether op must not be folded into a superblock
-// at all. Branches are not listed: they terminate a block by being folded
-// in as its final instruction (see buildBlock).
-func blockTerminates(op riscv.Op) bool {
-	return op.Classify()&(riscv.ClassSystem|riscv.ClassAtomic) != 0
-}
-
-// fetchRead32 reads an instruction word for decode. Unlike memRead32 it
-// never logs a speculative read: text is immutable during a run (stores
-// into live decoded code are a sanitizer error, see sanCheckCodeWrite),
-// so validating fetched words would be pure overhead. Under armed
-// speculation the read must still go through the private view — the
-// shared Memory accessors mutate their lookaside and allocate pages,
-// which would race with other workers.
-func (h *Hart) fetchRead32(a uint64) uint32 {
-	if h.spec.active {
-		return h.spec.view.Read32(a)
-	}
-	return h.Mem.Read32(a)
-}
-
-// buildBlock (re)fills e with the superblock starting at h.PC. Decode
-// errors and terminators simply end the run; a run of length zero routes
-// the PC to the single-step path. Building is cold (once per entry PC per
-// generation) and reuses the entry's slice capacity, so the steady state
-// allocates nothing.
-//
-//coyote:specwrite-ok fills the block-cache entry under construction; decode state is a pure function of program memory, exempted at its Hart field declarations
-func (h *Hart) buildBlock(e *blockEntry) {
-	e.pc = h.PC
-	e.code = e.code[:0]
-	e.valid = true
-	pc := h.PC
-	for len(e.code) < h.blockMax {
-		in, err := riscv.Decode(h.fetchRead32(pc))
-		if err != nil || blockTerminates(in.Op) {
-			break
-		}
-		lmul := uint(1)
-		isVec := in.Op.IsVector()
-		if isVec {
-			lmul = h.VType.LMUL
-		}
-		e.code = append(e.code, blockInstr{ //coyote:alloc-ok cold build path; the entry's backing array is reused on rebuild, growing at most to BlockMaxLen once
-			in: in, use: riscv.RegUsage(in, lmul), lmul: uint8(lmul), isVec: isVec,
-			fast: fastClass(in.Op),
-		})
-		pc += 4
-		if in.Op.Classify()&riscv.ClassBranch != 0 {
-			break // a branch is always a block's last instruction
-		}
-	}
-	if san.Enabled && len(e.code) > 0 {
-		h.noteCodeRange(e.pc, pc)
-	}
-}
-
 // StepBlock attempts to execute up to max instructions at cycle now,
-// using the superblock cache for straight-line runs. It is semantically
+// taking straight-line runs from the text image. It is semantically
 // identical to calling Step(now) up to max times: it returns the number
 // of instructions retired and the last StepResult (StepExecuted when the
 // run ended at a block boundary or the max was reached with every
@@ -220,7 +132,7 @@ func (h *Hart) StepBlock(now uint64, max int) (int, StepResult) {
 	//
 	// The chain loop follows block boundaries for as long as the quantum
 	// has budget: when a block's trailing branch redirects to another
-	// cached block, execution continues there within the same call. The
+	// block, execution continues there within the same call. The
 	// per-call entry checks and counter flushes amortize across the whole
 	// quantum, and the orchestrator dispatches events once per quantum —
 	// every request still reaches the uncore at the same cycle in the
@@ -232,11 +144,12 @@ func (h *Hart) StepBlock(now uint64, max int) (int, StepResult) {
 	lineBytes := uint64(h.L1I.LineBytes())
 chain:
 	for {
-		e := &h.blockCache[h.PC>>2&(blockCacheSize-1)]
-		if !e.valid || e.pc != h.PC {
-			h.buildBlock(e)
+		t := h.text
+		i := t.slot(h.PC)
+		if i >= uint64(len(t.code)) {
+			t, i = h.atCold(h.PC), 0
 		}
-		n := len(e.code)
+		n := int(t.code[i].run)
 		if n == 0 {
 			// First instruction is a terminator (or undecodable): the
 			// architectural single-step path owns system instructions,
@@ -254,7 +167,7 @@ chain:
 			n = max - retired
 		}
 		pc := h.PC
-		code := e.code
+		code := t.code[i:][:n]
 	loop:
 		for k := 0; k < n; {
 			// Fetch timing through L1I, hoisted to line granularity: all the
@@ -290,12 +203,13 @@ chain:
 			for ; k < segEnd; k++ {
 				bi := &code[k]
 				hits++
-
-				if bi.isVec && uint(bi.lmul) != h.VType.LMUL {
-					bi.lmul = uint8(h.VType.LMUL)
-					bi.use = riscv.RegUsage(bi.in, h.VType.LMUL)
+				if san.Enabled {
+					h.sanCheckFetch(pc, bi)
 				}
 				use := &bi.use
+				if bi.isVec {
+					use = &t.vuse[bi.vuse+lmulIndex(h.VType.LMUL)]
+				}
 
 				// Scoreboard: stall on any pending source or destination.
 				if (use.ReadsX|use.WritesX)&h.pending[RegX] != 0 ||
@@ -364,7 +278,7 @@ chain:
 
 // StepBlockFunctional is StepBlock's functional-mode twin: up to max
 // instructions execute with the same ISA-exact semantics through the
-// same cached superblocks, but with SetWarmSink armed every cache miss
+// same superblocks, but with SetWarmSink armed every cache miss
 // completes immediately — so the stall machinery is provably inert and
 // the loop drops it. Specifically:
 //
@@ -406,11 +320,12 @@ func (h *Hart) StepBlockFunctional(now uint64, max int) (int, StepResult) {
 	lineBytes := uint64(h.L1I.LineBytes())
 chain:
 	for {
-		e := &h.blockCache[h.PC>>2&(blockCacheSize-1)]
-		if !e.valid || e.pc != h.PC {
-			h.buildBlock(e)
+		t := h.text
+		i := t.slot(h.PC)
+		if i >= uint64(len(t.code)) {
+			t, i = h.atCold(h.PC), 0
 		}
-		n := len(e.code)
+		n := int(t.code[i].run)
 		if n == 0 {
 			// Terminator: the architectural single-step path owns system
 			// instructions, atomics and faults (its miss paths are warm-
@@ -427,7 +342,7 @@ chain:
 			n = max - retired
 		}
 		pc := h.PC
-		code := e.code
+		code := t.code[i:][:n]
 		for k := 0; k < n; {
 			line := h.L1I.LineAddr(pc)
 			seg := int((line + lineBytes - pc) >> 2)
@@ -455,6 +370,9 @@ chain:
 			for ; k < segEnd; k++ {
 				bi := &code[k]
 				hits++
+				if san.Enabled {
+					h.sanCheckFetch(pc, bi)
+				}
 				// Inline bodies mirror execute exactly; memory fast ops go
 				// straight to the warm-gated helpers the execute path would
 				// reach through scalarLoad/StoreAccess.
@@ -539,10 +457,6 @@ chain:
 						pc += 4
 					}
 				default:
-					if bi.isVec && uint(bi.lmul) != h.VType.LMUL {
-						bi.lmul = uint8(h.VType.LMUL)
-						bi.use = riscv.RegUsage(bi.in, h.VType.LMUL)
-					}
 					h.PC = pc
 					nextPC := pc + 4
 					res = h.execute(bi.in, &nextPC, now)
@@ -565,46 +479,4 @@ chain:
 	h.Stats.Instret += uint64(retired)
 	h.L1I.Stats.Hits += hits
 	return retired, res
-}
-
-// noteCodeRange extends the live-decoded-code watermark (san builds only).
-func (h *Hart) noteCodeRange(lo, hi uint64) {
-	if lo < h.codeLo {
-		h.codeLo = lo
-	}
-	if hi > h.codeHi {
-		h.codeHi = hi
-	}
-}
-
-// sanCheckCodeWrite panics (via san.Check) when an architectural store
-// lands inside a live decoded superblock or step-cache entry: the caches
-// would keep executing the stale pre-decoded code. Bare-metal kernels
-// never store to text, so the cheap watermark test short-circuits the
-// precise scan. Only called under san.Enabled, from the non-speculative
-// store path and from CommitSpec (an aborted speculative store never
-// architecturally happens). The check covers the storing hart's own
-// caches; cross-hart code patching would additionally need fence.i on
-// every hart, which this model does not support.
-func (h *Hart) sanCheckCodeWrite(a uint64, size uint8) {
-	hi := a + uint64(size)
-	if a >= h.codeHi || hi <= h.codeLo {
-		return
-	}
-	for i := range h.blockCache {
-		e := &h.blockCache[i]
-		if e.valid && a < e.pc+uint64(4*len(e.code)) && hi > e.pc {
-			san.Check(false, h.sanNow(), "cpu.selfmod",
-				"store overlaps a live decoded superblock (missing fence.i?)",
-				uint64(h.ID), a)
-		}
-	}
-	for i := range h.stepCache {
-		e := &h.stepCache[i]
-		if e.valid && a < e.pc+4 && hi > e.pc {
-			san.Check(false, h.sanNow(), "cpu.selfmod",
-				"store overlaps a live decoded instruction (missing fence.i?)",
-				uint64(h.ID), a)
-		}
-	}
 }

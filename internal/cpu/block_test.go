@@ -87,11 +87,11 @@ func TestStepBlockMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStepBlockBranchIntoMiddle forces a branch into the middle of an
-// already-cached superblock. The block built at the program entry spans
-// the loop body; the backward branch targets an interior PC, which must
-// hit (or build) the suffix block starting there — never re-execute the
-// prefix, never miss instructions.
+// TestStepBlockBranchIntoMiddle forces a branch into the middle of a
+// superblock. The block at the program entry spans the loop body; the
+// backward branch targets an interior PC, which must take the suffix
+// block starting there — never re-execute the prefix, never miss
+// instructions.
 func TestStepBlockBranchIntoMiddle(t *testing.T) {
 	prog := []riscv.Instr{
 		ins(riscv.OpADDI, 5, 0, 0, 3),  // pc+0:  t0 = 3 (counter)
@@ -106,11 +106,10 @@ func TestStepBlockBranchIntoMiddle(t *testing.T) {
 	runBlock(t, h, 1000)
 
 	// The entry block must span past the branch target, proving the loop
-	// re-entered a cached superblock mid-body rather than at its head.
-	entry := &h.blockCache[uint64(textBase)>>2&(blockCacheSize-1)]
-	if !entry.valid || entry.pc != textBase || len(entry.code) < 3 {
-		t.Fatalf("entry superblock not cached as expected: valid=%v pc=%#x len=%d",
-			entry.valid, entry.pc, len(entry.code))
+	// re-entered a superblock mid-body rather than at its head.
+	if i := h.text.slot(textBase); i != 0 || h.text.code[0].run != 6 || h.text.code[2].run != 4 {
+		t.Fatalf("entry superblock not imaged as expected: slot %d, run %d at entry, %d at the branch target",
+			i, h.text.code[0].run, h.text.code[2].run)
 	}
 	if h.X[6] != 3 || h.X[7] != 6 {
 		t.Errorf("t1 = %d, t2 = %d, want 3, 6", h.X[6], h.X[7])
@@ -124,11 +123,140 @@ func TestStepBlockBranchIntoMiddle(t *testing.T) {
 	}
 }
 
+// outcome is what a differential case compares across engines.
+type outcome struct {
+	x       [32]uint64
+	pc      uint64
+	instret uint64
+	halted  bool
+	fault   string
+	l1i     [2]uint64 // hits, misses
+}
+
+// runOutcome drives h through StepBlock until it halts or faults.
+func runOutcome(t *testing.T, h *Hart) outcome {
+	t.Helper()
+	for cyc := uint64(0); !h.Halted; cyc++ {
+		if cyc == 10000 {
+			t.Fatalf("program did not halt (pc=%#x)", h.PC)
+		}
+		h.StepBlock(cyc, 32)
+		for _, ev := range h.DrainEvents() {
+			if ev.Fetch {
+				h.CompleteFetch()
+			} else if ev.HasDest {
+				h.CompleteFill(ev.Dest, ev.DestReg)
+			}
+		}
+	}
+	o := outcome{x: h.X, pc: h.PC, instret: h.Stats.Instret, halted: h.Halted,
+		l1i: [2]uint64{h.L1I.Stats.Hits, h.L1I.Stats.Misses}}
+	if h.Fault != nil {
+		o.fault = h.Fault.Error()
+	}
+	return o
+}
+
+// TestImageEdgesMatchReference runs programs that leave the straight and
+// narrow on three harts — block engine over an image of the whole
+// program, block engine over an image of its first two instructions only
+// (every later fetch decodes from memory), per-instruction reference
+// engine — and requires one outcome: registers, PC, instruction and L1I
+// counts, and the fault text, all of which are what the per-hart decode
+// caches produced at commit 2a94938.
+func TestImageEdgesMatchReference(t *testing.T) {
+	bad := uint32(0xffffffff)
+	for _, tc := range []struct {
+		name  string
+		prog  []riscv.Instr
+		poke  map[uint64]uint32 // raw words written over the program
+		fault string
+		want  map[uint8]uint64
+	}{
+		{name: "jump-into-the-middle-of-a-run", prog: []riscv.Instr{
+			ins(riscv.OpADDI, 5, 0, 0, 3),  // pc+0:  t0 = 3
+			ins(riscv.OpADDI, 6, 0, 0, 0),  // pc+4:  t1 = 0
+			ins(riscv.OpADDI, 6, 6, 0, 1),  // pc+8:  loop: t1++   <- interior entry
+			ins(riscv.OpADDI, 7, 7, 0, 2),  // pc+12: t2 += 2
+			ins(riscv.OpADDI, 5, 5, 0, -1), // pc+16: t0--
+			ins(riscv.OpBNE, 0, 5, 0, -12), // pc+20: bne t0, x0, loop
+		}, want: map[uint8]uint64{6: 3, 7: 6}},
+		{name: "jump-past-the-end-of-text", prog: []riscv.Instr{
+			ins(riscv.OpADDI, 5, 0, 0, 1),   // pc+0
+			ins(riscv.OpJAL, 0, 0, 0, 0x40), // pc+4: over the ebreak, into poked code
+		}, poke: map[uint64]uint32{
+			0x44: riscv.MustEncode(ins(riscv.OpADDI, 6, 5, 0, 41)),
+			0x48: riscv.MustEncode(ins(riscv.OpJAL, 0, 0, 0, -0x48+8)), // back to the ebreak
+		}, want: map[uint8]uint64{5: 1, 6: 42}},
+		{name: "undecodable-word-in-a-run", prog: []riscv.Instr{
+			ins(riscv.OpADDI, 5, 0, 0, 1),
+			ins(riscv.OpADDI, 6, 0, 0, 2),
+			ins(riscv.OpADDI, 7, 0, 0, 3), // overwritten
+			ins(riscv.OpADDI, 28, 0, 0, 4),
+		}, poke: map[uint64]uint32{8: bad},
+			fault: "hart 0: pc=0x80000008: riscv: cannot decode 0xffffffff",
+			want:  map[uint8]uint64{5: 1, 6: 2, 7: 0, 28: 0}},
+		{name: "jump-into-data", prog: []riscv.Instr{
+			ins(riscv.OpADDI, 5, 0, 0, 1),
+			ins(riscv.OpJAL, 0, 0, 0, 0x1000), // memory never written: zero words
+		}, fault: "hart 0: pc=0x80001004: riscv: cannot decode 0x00000000",
+			want: map[uint8]uint64{5: 1}},
+		{name: "jump-off-a-word-boundary", prog: []riscv.Instr{
+			ins(riscv.OpADDI, 5, 0, 0, 1),
+			ins(riscv.OpJAL, 0, 0, 0, 6), // pc+10: the halves of two instructions
+			ins(riscv.OpADDI, 6, 0, 0, 2),
+			ins(riscv.OpADDI, 7, 0, 0, 3),
+		}, poke: map[uint64]uint32{8: bad, 12: bad},
+			fault: "hart 0: pc=0x8000000a: riscv: cannot decode 0xffffffff",
+			want:  map[uint8]uint64{5: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [3]outcome
+			for i, mutate := range []func(*Config){nil, nil, func(c *Config) { c.DisableBlockCache = true }} {
+				h := newTestHartCfg(t, mutate)
+				load(t, h, tc.prog...)
+				for off, raw := range tc.poke {
+					h.Mem.Write32(textBase+off, raw)
+				}
+				if i == 1 {
+					h.SetText(NewText(h.Mem, textBase, 2))
+				}
+				got[i] = runOutcome(t, h)
+			}
+			if got[1] != got[0] || got[2] != got[0] {
+				t.Errorf("engines disagree:\nwhole image %+v\ntwo-word image %+v\nreference %+v", got[0], got[1], got[2])
+			}
+			if got[0].fault != tc.fault {
+				t.Errorf("fault %q, want %q", got[0].fault, tc.fault)
+			}
+			for r, v := range tc.want {
+				if got[0].x[r] != v {
+					t.Errorf("x%d = %d, want %d", r, got[0].x[r], v)
+				}
+			}
+		})
+	}
+}
+
+// TestImageCarriesEveryLMUL: a vector op's element holds its footprint at
+// each LMUL, so no hart ever rewrites the element for its own vtype.
+func TestImageCarriesEveryLMUL(t *testing.T) {
+	h := newTestHartCfg(t, nil)
+	in := riscv.Instr{Op: riscv.OpVADDVV, Rd: 8, Rs1: 16, Rs2: 24, VM: true}
+	load(t, h, in)
+	txt := NewText(h.Mem, textBase, 1)
+	for _, lmul := range []uint{0, 1, 2, 4, 8} {
+		got := txt.vuse[txt.code[0].vuse+lmulIndex(lmul)]
+		if want := riscv.RegUsage(in, lmul); got != want {
+			t.Errorf("LMUL %d: footprint %+v, want %+v", lmul, got, want)
+		}
+	}
+}
+
 // selfModProg stores a patched instruction word over pc+16 and then falls
 // through to it. X[10] holds the patch address, X[11] the new word. With
-// fencei the decode caches are flushed between the store and the fetch;
-// without it the superblock built at the entry PC has already decoded the
-// stale word.
+// fencei the text image is decoded again between the store and the fetch;
+// without it the image still holds the stale word.
 func selfModProg(fencei bool) []riscv.Instr {
 	prog := []riscv.Instr{
 		ins(riscv.OpSW, 0, 10, 11, 0),  // pc+0:  patch [a0] = a1
@@ -151,8 +279,7 @@ func setupSelfMod(t *testing.T, h *Hart, fencei bool) {
 }
 
 // TestFenceIRevealsPatchedCode pins the fence.i contract on both engines:
-// after the store and the fence, the patched instruction must execute —
-// fence.i invalidates superblock entries as well as step-cache entries.
+// after the store and the fence, the patched instruction must execute.
 func TestFenceIRevealsPatchedCode(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -173,10 +300,9 @@ func TestFenceIRevealsPatchedCode(t *testing.T) {
 }
 
 // TestStaleBlockWithoutFenceI documents the hazard fence.i exists for:
-// without it, the superblock built at the entry PC keeps its pre-store
-// decode and the stale instruction executes. The coyotesan build turns
-// exactly this into a panic (TestSanStoreToLiveBlock), so it is skipped
-// there.
+// without it, the image keeps its pre-store decode and the stale
+// instruction executes. The coyotesan build turns exactly this into a
+// panic (TestSanStoreToLiveBlock), so it is skipped there.
 func TestStaleBlockWithoutFenceI(t *testing.T) {
 	if san.Enabled {
 		t.Skip("coyotesan promotes the stale-code hazard to a panic")
@@ -185,12 +311,13 @@ func TestStaleBlockWithoutFenceI(t *testing.T) {
 	setupSelfMod(t, h, false)
 	runBlock(t, h, 1000)
 	if h.X[7] != 1 {
-		t.Errorf("t2 = %d, want 1 (stale superblock decode without fence.i)", h.X[7])
+		t.Errorf("t2 = %d, want 1 (stale decode without fence.i)", h.X[7])
 	}
 }
 
 // TestSanStoreToLiveBlock pins the sanitizer check: under -tags coyotesan
-// a store into a live decoded superblock must panic with a san.Violation.
+// executing an instruction that a store changed since the image was
+// decoded must panic with a san.Violation.
 func TestSanStoreToLiveBlock(t *testing.T) {
 	if !san.Enabled {
 		t.Skip("needs -tags coyotesan")
@@ -200,7 +327,7 @@ func TestSanStoreToLiveBlock(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("store into a live decoded superblock did not panic")
+			t.Fatal("executing a stale decode did not panic")
 		}
 		if _, ok := r.(san.Violation); !ok {
 			panic(r)

@@ -181,7 +181,7 @@ func (h *Hart) Restore(r *ckpt.Reader) error {
 
 	h.Fault = nil
 	h.Events = h.Events[:0]
-	h.FlushDecodeCache()
+	h.lastFetchValid = false // the fetch fast path is not checkpointed
 	return nil
 }
 

@@ -173,12 +173,13 @@ func (h *Hart) execute(in riscv.Instr, nextPC *uint64, now uint64) StepResult {
 	case riscv.OpFENCE:
 		// No reordering to constrain in this model.
 	case riscv.OpFENCEI:
-		// Instruction-stream synchronisation: the decoded-instruction and
-		// superblock caches hold pre-decoded text, so a program that wrote
-		// code must fence.i before jumping to it. The flush has no timing
-		// or statistics effect (decode is not modelled as a cached timing
-		// resource), so running it under speculation needs no undo.
-		h.FlushDecodeCache()
+		// Instruction-stream synchronisation: harts execute the pre-decoded
+		// image, so a program that wrote code must fence.i before jumping
+		// to it. Re-decoding has no timing or statistics effect (decode is
+		// not modelled as a cached timing resource). Serial path only: Step
+		// refuses fence.i under armed speculation.
+		h.text.load(h.Mem)
+		h.lastFetchValid = false
 
 	case riscv.OpECALL:
 		return h.ecall()

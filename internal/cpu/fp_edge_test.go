@@ -190,9 +190,9 @@ func TestVectorFP32(t *testing.T) {
 			t.Errorf("fp32 lane %d = %v, want %v", i, got, want)
 		}
 	}
-	// SEW=32 reductions and scalar moves. Loading a second program over
-	// the first requires flushing the decoded-instruction cache.
-	h.FlushDecodeCache()
+	// SEW=32 reductions and scalar moves. A second program loaded over
+	// the first needs a new text image.
+	h.SetText(&Text{})
 	load(t, h,
 		vsetvli(5, 10, 32, 1),
 		riscv.Instr{Op: riscv.OpVLE32, Rd: 1, Rs1: 11, VM: true},
@@ -222,6 +222,7 @@ func TestVsetvlVLMaxRequest(t *testing.T) {
 		t.Errorf("VLMAX request: vl = %d, want %d", h.VL, want)
 	}
 	// rs1 = rd = x0 → keep current vl (vtype may change).
+	h.SetText(&Text{})
 	load(t, h,
 		riscv.Instr{Op: riscv.OpVSETVLI, Rd: 5, Rs1: 0,
 			Imm: mustVType(64, 2), VM: true},

@@ -63,7 +63,8 @@ const (
 	// StepFault: illegal instruction or trap; hart is halted with an error.
 	StepFault
 	// StepSpecUnsafe: the next instruction cannot run speculatively
-	// (atomics read-modify-write shared reservation state and memory).
+	// (atomics read-modify-write shared reservation state and memory;
+	// fence.i re-decodes the text image all harts share).
 	// Only returned while speculation is armed (BeginSpec); the
 	// orchestrator aborts the speculation and re-executes the hart
 	// serially in its commit slot.
@@ -82,11 +83,6 @@ type Config struct {
 	// memory path (paper §I).
 	MCPUOffload bool
 
-	// BlockMaxLen caps the length of a decoded superblock (see StepBlock).
-	// Zero or negative selects the default of 32 instructions. The cap only
-	// bounds decode-cache memory; it has no effect on simulated timing.
-	BlockMaxLen int
-
 	// DisableBlockCache forces the per-instruction reference engine:
 	// StepBlock degrades to single Step calls and the orchestrator falls
 	// back to the classic step-dispatch loop. Simulated timing is identical
@@ -94,8 +90,6 @@ type Config struct {
 	// each other to prove it.
 	DisableBlockCache bool
 }
-
-const defaultBlockMaxLen = 32
 
 // DefaultConfig mirrors the ACME VAS tile core: 16-lane VPU and 16 KiB L1s.
 func DefaultConfig() Config {
@@ -160,9 +154,32 @@ func (r *Reservations) invalidateStores(storer int, line uint64) {
 
 // Hart is one simulated RISC-V core: architectural state + L1 models.
 type Hart struct {
-	ID int
+	// What every StepBlock call reads comes first and fills one host cache
+	// line, and spec's armed flag opens the next: with 128 harts taking
+	// turns each cycle, a hart starts its turn with every line of its own
+	// cold in the host's cache, so it should need few.
+	PC        uint64
+	busyUntil uint64 // absolute cycle until which the core is occupied
+	// lastFetchLine short-circuits the L1I tag lookup for straight-line
+	// fetches from the same cache line.
+	lastFetchLine uint64
+	// text is the pre-decoded image of the program this hart runs, shared
+	// with every other hart of its System and read-only during a run
+	// (text.go).
+	text     *Text
+	L1I, L1D *cache.Cache
+	// Pending-register scoreboard: bit set while ≥1 fill is outstanding.
+	pending        [regKinds]uint32
+	Halted         bool
+	fetchPending   bool
+	lastFetchValid bool
+	blockOff       bool
 
-	PC uint64
+	// spec holds the speculative-execution journal and rollback snapshot
+	// used by the parallel orchestrator (see spec.go).
+	spec specState
+
+	ID int
 	X  [32]uint64
 	F  [32]uint64 // raw IEEE bits; singles are NaN-boxed
 
@@ -175,22 +192,15 @@ type Hart struct {
 	vtypeRaw uint64
 	lanes    uint
 
-	Mem      *mem.Memory
-	L1I, L1D *cache.Cache
-	resv     *Reservations
+	Mem  *mem.Memory
+	resv *Reservations
 
 	mcpuOffload bool
 
-	// Pending-register scoreboard: bit set while ≥1 fill is outstanding.
-	pending      [regKinds]uint32
-	pendingCount [regKinds][32]uint16
-	fetchPending bool
+	pendingCount [regKinds][32]uint16 // outstanding fills behind each pending bit
 
-	Halted   bool
 	ExitCode uint64
 	Fault    error
-
-	busyUntil uint64 // absolute cycle until which the core is occupied
 
 	// Events produced by the last Step; the orchestrator drains this.
 	Events []MemEvent
@@ -199,34 +209,9 @@ type Hart struct {
 
 	Stats Stats
 
-	// stepCache is a direct-mapped decoded-instruction cache indexed by
-	// PC: it holds the decoded form and the precomputed register-usage
-	// masks, avoiding per-step decode and dependency analysis (the same
-	// trick Spike's instruction cache plays). Self-modifying code is not
-	// supported, matching Spike's bare-metal assumptions.
-	// Decode-derived state below is deliberately outside the spec
-	// journal: it is a pure function of program memory, so an aborted
-	// quantum that re-decodes produces identical entries.
-	stepCache []stepEntry //coyote:specwrite-ok decode cache, rebuilt identically on replay; never part of committed state
-
-	// blockCache is the superblock extension of stepCache: each entry
-	// holds a decoded straight-line run starting at its PC, executed by
-	// StepBlock in one tight loop (see block.go).
-	blockCache []blockEntry //coyote:specwrite-ok decode cache, same argument as stepCache
-	blockMax   int
-	blockOff   bool
-
-	// codeLo/codeHi bound the PCs covered by live decoded entries (step
-	// and block caches). Maintained only in the coyotesan build, where a
-	// store landing inside the range is cross-checked against the live
-	// entries: silently executing stale pre-decoded code is the one way
-	// the decode caches could diverge from memory.
-	codeLo, codeHi uint64 //coyote:specwrite-ok sanitizer bookkeeping derived from the decode caches
-
-	// lastFetchLine short-circuits the L1I tag lookup for straight-line
-	// fetches from the same cache line.
-	lastFetchLine  uint64
-	lastFetchValid bool
+	// cold is a one-instruction image of the hart's own, decoded anew at
+	// every fetch from a PC that text does not cover.
+	cold Text //coyote:specwrite-ok per-fetch scratch, rebuilt from memory before each use and dead after it
 
 	// scratch buffers reused across steps to avoid allocation
 	lineScratch []uint64  //coyote:specwrite-ok per-step scratch, dead before the next instruction
@@ -266,10 +251,6 @@ type Hart struct {
 	// shadow directory sees every access.
 	warmSeen []uint64
 
-	// spec holds the speculative-execution journal and rollback snapshot
-	// used by the parallel orchestrator (see spec.go).
-	spec specState
-
 	// CycleFn lets the orchestrator expose the global cycle counter via
 	// the cycle/time CSRs. Optional.
 	CycleFn func() uint64
@@ -296,10 +277,6 @@ func NewHart(id int, cfg Config, m *mem.Memory, resv *Reservations) (*Hart, erro
 	if resv == nil {
 		resv = NewReservations(id + 1)
 	}
-	blockMax := cfg.BlockMaxLen
-	if blockMax <= 0 {
-		blockMax = defaultBlockMaxLen
-	}
 	h := &Hart{
 		ID:          id,
 		V:           make([]byte, 32*cfg.VLenBits/8),
@@ -310,12 +287,10 @@ func NewHart(id int, cfg Config, m *mem.Memory, resv *Reservations) (*Hart, erro
 		L1D:         l1d,
 		resv:        resv,
 		mcpuOffload: cfg.MCPUOffload,
-		stepCache:   make([]stepEntry, stepCacheSize),
-		blockCache:  make([]blockEntry, blockCacheSize),
-		blockMax:    blockMax,
+		text:        &Text{},
+		cold:        Text{code: make([]blockInstr, 1)},
 		blockOff:    cfg.DisableBlockCache,
 		csr:         make(map[uint16]uint64),
-		codeLo:      ^uint64(0),
 	}
 	return h, nil
 }
@@ -349,35 +324,9 @@ func (h *Hart) SetWarmSink(warm func(addr uint64, write bool)) {
 // per-instruction loop).
 func (h *Hart) BlockEngineEnabled() bool { return !h.blockOff }
 
-// stepEntry is one slot of the decoded-instruction cache.
-type stepEntry struct {
-	pc    uint64
-	in    riscv.Instr
-	use   riscv.RegUse
-	lmul  uint8
-	valid bool
-}
-
-const stepCacheSize = 512 // 2 KiB window of straight-line code (kernels are far smaller)
-
 // BusyUntil returns the cycle at which a multi-cycle vector instruction
 // releases the core (0 when idle). The orchestrator uses it to fast-forward.
 func (h *Hart) BusyUntil() uint64 { return h.busyUntil }
-
-// FlushDecodeCache invalidates the decoded-instruction cache, the
-// superblock cache and the fetch fast path. Required after program memory
-// changes (loading a new binary over an old one, or fence.i after writing
-// code); ordinary kernels never need it.
-func (h *Hart) FlushDecodeCache() {
-	for i := range h.stepCache {
-		h.stepCache[i].valid = false
-	}
-	for i := range h.blockCache {
-		h.blockCache[i].valid = false
-	}
-	h.lastFetchValid = false
-	h.codeLo, h.codeHi = ^uint64(0), 0
-}
 
 // AddStallCycles credits stall cycles the orchestrator observed while the
 // core was parked (Step is not called on inactive cores, so the per-Step
@@ -531,38 +480,26 @@ func (h *Hart) Step(now uint64) StepResult {
 		}
 	}
 
-	// Decode through the step cache. The instruction fetch reads text
-	// without the speculative read log: text is immutable during a run
-	// (self-modifying code is unsupported and sanitizer-checked), so
-	// logging fetches would only bloat validation. Under armed
-	// speculation the read still must go through the private view — the
-	// shared Memory accessors mutate their lookaside and allocate pages.
-	e := &h.stepCache[h.PC>>2&(stepCacheSize-1)]
-	if !e.valid || e.pc != h.PC {
-		raw := h.fetchRead32(h.PC)
-		in, err := riscv.Decode(raw)
-		if err != nil {
-			h.Fault = fmt.Errorf("hart %d: pc=%#x: %w", h.ID, h.PC, err) //coyote:alloc-ok fault path is terminal, the run ends here
-			h.Halted = true
-			return StepFault
-		}
-		lmul := uint(1)
-		if in.Op.IsVector() {
-			lmul = h.VType.LMUL
-		}
-		*e = stepEntry{pc: h.PC, in: in, use: riscv.RegUsage(in, lmul),
-			lmul: uint8(lmul), valid: true}
-		if san.Enabled {
-			h.noteCodeRange(h.PC, h.PC+4)
-		}
-	} else if e.in.Op.IsVector() && uint(e.lmul) != h.VType.LMUL {
-		// LMUL changed since the usage masks were computed: refresh the
-		// register-group footprint.
-		e.lmul = uint8(h.VType.LMUL)
-		e.use = riscv.RegUsage(e.in, h.VType.LMUL)
+	t := h.text
+	i := t.slot(h.PC)
+	if i >= uint64(len(t.code)) {
+		t, i = h.atCold(h.PC), 0
 	}
-	in := e.in
-	use := &e.use
+	bi := &t.code[i]
+	if san.Enabled {
+		h.sanCheckFetch(h.PC, bi)
+	}
+	in := bi.in
+	if in.Op == riscv.OpInvalid {
+		_, err := riscv.Decode(bi.raw)
+		h.Fault = fmt.Errorf("hart %d: pc=%#x: %w", h.ID, h.PC, err) //coyote:alloc-ok fault path is terminal, the run ends here
+		h.Halted = true
+		return StepFault
+	}
+	use := &bi.use
+	if bi.isVec {
+		use = &t.vuse[bi.vuse+lmulIndex(h.VType.LMUL)]
+	}
 
 	// Scoreboard check: stall on any pending source or destination.
 	if (use.ReadsX|use.WritesX)&h.pending[RegX] != 0 ||
@@ -573,7 +510,8 @@ func (h *Hart) Step(now uint64) StepResult {
 	}
 
 	if h.spec.active {
-		if in.Op.Classify()&riscv.ClassAtomic != 0 {
+		// fence.i rewrites the image every hart reads: serial path only.
+		if in.Op.Classify()&riscv.ClassAtomic != 0 || in.Op == riscv.OpFENCEI {
 			return StepSpecUnsafe
 		}
 		h.specSaveFor(in.Op, use)

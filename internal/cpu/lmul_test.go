@@ -73,10 +73,9 @@ func TestMaskedOpReadsV0(t *testing.T) {
 }
 
 func TestLMULChangeRefreshesStepCache(t *testing.T) {
-	// The step cache memoises register-usage masks per LMUL; re-executing
-	// the same instruction after a vsetvli with a different LMUL must not
-	// use stale group masks. Loop twice over the same vadd with LMUL 1
-	// then 4, checking the dependency behaviour stays exact.
+	// The text image holds register-usage masks per LMUL; executing the
+	// same instruction after a vsetvli with a different LMUL must pick
+	// that LMUL's group masks. Run the same vadd at LMUL 1 then 4.
 	h := newTestHart(t)
 	h.X[10] = 4
 	h.X[12] = 1 << 20
@@ -84,8 +83,7 @@ func TestLMULChangeRefreshesStepCache(t *testing.T) {
 		// pass 1: lmul=1
 		vsetvli(5, 10, 64, 1),
 		riscv.Instr{Op: riscv.OpVADDVV, Rd: 8, Rs1: 4, Rs2: 4, VM: true},
-		// pass 2: lmul=4, same instruction encoding elsewhere would be
-		// cached; here we re-execute a *new* vadd after changing vtype.
+		// pass 2: lmul=4, the same encoding after changing vtype.
 		vsetvli(5, 12, 64, 4),
 		riscv.Instr{Op: riscv.OpVADDVV, Rd: 8, Rs1: 4, Rs2: 4, VM: true},
 	)

@@ -37,10 +37,10 @@ import (
 // mismatch means the speculative execution consumed a stale value; the
 // orchestrator aborts and re-executes the hart in its sequential commit
 // slot, so the committed machine state is exactly what the sequential
-// interleaving would have produced. The decoded-instruction cache is
-// deliberately *not* rolled back: each entry is a pure function of
-// (pc, instruction bytes, LMUL) with no timing or statistics effect, and
-// the LMUL refresh in Step self-corrects after a rollback.
+// interleaving would have produced. Instruction fetches are not in the
+// read log: the text image changes only at fence.i, which is spec-unsafe,
+// and a speculation armed before one is invalidated by the image's
+// generation number.
 
 type specRead struct {
 	addr uint64
@@ -75,6 +75,7 @@ type specState struct {
 	active  bool
 	view    mem.View
 	viewFor *mem.Memory
+	textGen uint64 // Text.gen at BeginSpec
 
 	reads  []specRead
 	writes []specWrite
@@ -144,6 +145,7 @@ func (h *Hart) BeginSpec() {
 		sp.viewFor = h.Mem
 	}
 	sp.active = true
+	sp.textGen = h.text.gen
 	sp.reads = sp.reads[:0]
 	sp.writes = sp.writes[:0]
 	sp.xSavedMask = 0
@@ -180,13 +182,17 @@ func (h *Hart) BeginSpec() {
 }
 
 // ValidateSpec replays the read log against current memory and reports
-// whether every speculative read still observes the value it consumed.
+// whether every speculative read still observes the value it consumed
+// (and no fence.i has re-decoded the text since the quantum fetched it).
 // It must be called after all lower-index harts committed their stores;
 // reads go through the private view, so validation allocates no pages.
 //
 //coyote:allocfree
 func (h *Hart) ValidateSpec() bool {
 	sp := &h.spec
+	if sp.textGen != h.text.gen {
+		return false
+	}
 	for i := range sp.reads {
 		r := &sp.reads[i]
 		var cur uint64
@@ -220,9 +226,6 @@ func (h *Hart) CommitSpec() {
 	sp.active = false
 	for i := range sp.writes {
 		w := &sp.writes[i]
-		if san.Enabled {
-			h.sanCheckCodeWrite(w.addr, w.size)
-		}
 		switch w.size {
 		case 1:
 			h.Mem.Write8(w.addr, uint8(w.val))
@@ -463,9 +466,6 @@ func (h *Hart) memRead64(a uint64) uint64 {
 
 func (h *Hart) memWrite8(a uint64, v uint8) {
 	if !h.spec.active {
-		if san.Enabled {
-			h.sanCheckCodeWrite(a, 1)
-		}
 		h.Mem.Write8(a, v)
 		return
 	}
@@ -474,9 +474,6 @@ func (h *Hart) memWrite8(a uint64, v uint8) {
 
 func (h *Hart) memWrite16(a uint64, v uint16) {
 	if !h.spec.active {
-		if san.Enabled {
-			h.sanCheckCodeWrite(a, 2)
-		}
 		h.Mem.Write16(a, v)
 		return
 	}
@@ -485,9 +482,6 @@ func (h *Hart) memWrite16(a uint64, v uint16) {
 
 func (h *Hart) memWrite32(a uint64, v uint32) {
 	if !h.spec.active {
-		if san.Enabled {
-			h.sanCheckCodeWrite(a, 4)
-		}
 		h.Mem.Write32(a, v)
 		return
 	}
@@ -496,9 +490,6 @@ func (h *Hart) memWrite32(a uint64, v uint32) {
 
 func (h *Hart) memWrite64(a uint64, v uint64) {
 	if !h.spec.active {
-		if san.Enabled {
-			h.sanCheckCodeWrite(a, 8)
-		}
 		h.Mem.Write64(a, v)
 		return
 	}

@@ -83,6 +83,16 @@ type Engine struct {
 	occ    [occWords]uint64
 	bucket [bucketWindow][]event
 
+	// free holds the backing arrays of drained buckets, last in first out:
+	// an empty bucket owns no storage, and the next one that needs some
+	// takes the array that ran most recently. The ring's memory is then
+	// the cycles that hold events right now, not a private array per slot
+	// each touched once per window. An array is only ever made for a
+	// bucket that finds the list empty, so there are never more arrays
+	// than slots and the list cannot overflow.
+	free  [bucketWindow][]event
+	nfree int
+
 	// ringMinAt memoizes the earliest ring event time so the per-cycle
 	// orchestrator poll does not rescan the occupancy bitset while waiting
 	// out a long latency (a DRAM round trip polls ~100 times). Enqueues
@@ -210,7 +220,9 @@ func (e *Engine) enqueue(when Cycle, ev event) {
 	if when < e.base+bucketWindow {
 		e.san.RingSlot(e.base, when, bucketWindow)
 		slot := int(when) & bucketMask
-		e.bucket[slot] = append(e.bucket[slot], ev)
+		b := e.storage(slot)
+		b = append(b, ev)
+		e.bucket[slot] = b
 		e.occ[slot>>6] |= 1 << uint(slot&63)
 		e.inRing++
 		if !e.ringMinValid || when < e.ringMinAt {
@@ -220,6 +232,17 @@ func (e *Engine) enqueue(when Cycle, ev event) {
 	}
 	e.san.OverflowPush(e.base, when, bucketWindow)
 	e.heapPush(ev)
+}
+
+// storage returns slot's bucket to append to; an empty bucket takes the
+// most recently drained array off the free list.
+func (e *Engine) storage(slot int) []event {
+	b := e.bucket[slot]
+	if cap(b) == 0 && e.nfree > 0 {
+		e.nfree--
+		b, e.free[e.nfree] = e.free[e.nfree], nil
+	}
+	return b
 }
 
 // slideTo moves the ring window start to base (the new clock value) and
@@ -234,7 +257,7 @@ func (e *Engine) slideTo(base Cycle) {
 		ev := e.heapPop()
 		e.san.RingSlot(e.base, ev.when, bucketWindow)
 		slot := int(ev.when) & bucketMask
-		b := e.bucket[slot]
+		b := e.storage(slot)
 		if n := len(b); n > 0 && b[n-1].seq > ev.seq {
 			// The bucket already holds events scheduled after this one
 			// (they entered the ring directly while this event waited in
@@ -302,8 +325,8 @@ func (e *Engine) NextEventTime() (Cycle, bool) { return e.nextTime() }
 
 // runBucket executes every event in the bucket of the current cycle, in
 // seq (schedule) order. Events may append to the same bucket (delay-0
-// cascades); the index loop picks them up. The bucket keeps its backing
-// array for reuse — the steady state allocates nothing.
+// cascades); the index loop picks them up. The drained array goes to the
+// free list — the steady state allocates nothing.
 func (e *Engine) runBucket(slot int) {
 	b := e.bucket[slot]
 	for i := 0; i < len(b); i++ {
@@ -322,7 +345,9 @@ func (e *Engine) runBucket(slot int) {
 	for i := range b {
 		b[i] = event{} // drop closure references
 	}
-	e.bucket[slot] = b[:0]
+	e.bucket[slot] = nil
+	e.free[e.nfree] = b[:0]
+	e.nfree++
 	e.occ[slot>>6] &^= 1 << uint(slot&63)
 	if e.ringMinValid && e.ringMinAt <= e.now {
 		// The memoized minimum pointed at (or before) the bucket that just

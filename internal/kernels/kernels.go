@@ -181,18 +181,29 @@ func RandCSR(n int, density float64, seed int64) *CSR {
 	if perRow > n {
 		perRow = n
 	}
-	c := &CSR{N: n, RowPtr: make([]uint64, n+1)}
+	c := &CSR{
+		N:      n,
+		RowPtr: make([]uint64, n+1),
+		Col:    make([]uint64, 0, n*perRow),
+		Val:    make([]float64, 0, n*perRow),
+	}
+	// stamp[col] == i+1 once row i has drawn col; one array and one column
+	// buffer serve every row. The draw order — Intn until perRow distinct
+	// columns, then one Float64 per column in ascending order — is part of
+	// every sparse kernel's input data (TestRandCSRPinned).
+	stamp := make([]int, n)
+	cols := make([]int, 0, perRow)
 	for i := 0; i < n; i++ {
-		cols := map[int]bool{}
+		cols = cols[:0]
 		for len(cols) < perRow {
-			cols[rng.Intn(n)] = true
+			col := rng.Intn(n)
+			if stamp[col] != i+1 {
+				stamp[col] = i + 1
+				cols = append(cols, col)
+			}
 		}
-		sorted := make([]int, 0, perRow)
-		for col := range cols {
-			sorted = append(sorted, col)
-		}
-		sort.Ints(sorted)
-		for _, col := range sorted {
+		sort.Ints(cols)
+		for _, col := range cols {
 			c.Col = append(c.Col, uint64(col))
 			c.Val = append(c.Val, math.Round(rng.Float64()*8-4)/4)
 		}

@@ -93,7 +93,7 @@ func (s aset) clone() aset {
 //
 // tval is the taint of one expression value, field-sensitively: atoms
 // keyed by the relative access path they attach to ("" is the value as a
-// whole, "blockMax" a field, "*" an element). Keeping structure across
+// whole, "blockOff" a field, "*" an element). Keeping structure across
 // composite literals, returns and parameter substitution is what stops
 // one tainted field from smearing the entire object graph it is stored
 // into.

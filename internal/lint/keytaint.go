@@ -15,7 +15,7 @@ import (
 // KeyTaintAnalyzer is the static proof behind the result cache's key
 // exclusions (DESIGN.md §11, §12). The cache key deliberately omits the
 // execution-strategy fields — Workers, InterleaveQuantum, FastForward,
-// Hart.BlockMaxLen, Hart.DisableBlockCache — on the strength of a
+// Hart.DisableBlockCache — on the strength of a
 // determinism argument: they cannot influence committed results. This
 // analyzer turns that argument into an interprocedural dataflow check:
 //
@@ -55,7 +55,6 @@ var keyExcludedFields = []string{
 	"Workers",
 	"InterleaveQuantum",
 	"FastForward",
-	"Hart.BlockMaxLen",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }

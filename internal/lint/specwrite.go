@@ -194,7 +194,7 @@ func (ctx *specCtx) checkStore(fn *flow.Func, info *types.Info, env flow.AliasEn
 	}
 	if params[ch.Root] && pointerLike(ch.Root.Type()) {
 		// A store that resolves (possibly through aliases like
-		// e := &h.stepCache[i]) into a field of a protected receiver is
+		// c := &h.cold) into a field of a protected receiver is
 		// judged by that field's journal coverage, same as a syntactic
 		// selector store — so spec.go coverage and field-declaration
 		// exemptions apply to pointer-into-field access too.

@@ -6,7 +6,7 @@
 // and skips the encoder cross-check.
 package keytaintfix
 
-// Config mirrors core.Config: the five key-excluded execution-strategy
+// Config mirrors core.Config: the four key-excluded execution-strategy
 // fields are taint sources; everything else is key-included and clean.
 type Config struct {
 	Cores             int
@@ -14,7 +14,6 @@ type Config struct {
 	Workers           int
 	InterleaveQuantum int
 	FastForward       uint64
-	BlockMaxLen       int
 	DisableBlockCache bool
 }
 
@@ -72,7 +71,7 @@ func CallSinkFlow(cfg Config, t *Tracer) {
 // conservatism boundary: branch decisions are not tracked, so this is
 // clean by design (the runtime golden matrix covers it instead).
 func ControlOnly(cfg Config, r *Result) {
-	if cfg.BlockMaxLen > 8 {
+	if cfg.InterleaveQuantum > 8 {
 		r.Cycles++
 	}
 }

@@ -37,7 +37,6 @@ var keyMutators = []keyMutator{
 	{"InterleaveQuantum", true, func(c *core.Config, p *kernels.Params) { c.InterleaveQuantum += 7 }},
 	{"FastForward", true, func(c *core.Config, p *kernels.Params) { c.FastForward = !c.FastForward }},
 	{"CheckpointAt", true, func(c *core.Config, p *kernels.Params) { c.CheckpointAt += 1000 }},
-	{"BlockMaxLen", true, func(c *core.Config, p *kernels.Params) { c.Hart.BlockMaxLen = 16 }},
 	{"DisableBlockCache", true, func(c *core.Config, p *kernels.Params) { c.Hart.DisableBlockCache = !c.Hart.DisableBlockCache }},
 }
 

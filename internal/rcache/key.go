@@ -20,7 +20,6 @@
 //   - Config.Workers            — golden matrix Workers ∈ {1,2,3,NumCPU}
 //   - Config.InterleaveQuantum  — TestWorkersInterleaveMatrix {1,2,8,64}
 //   - Config.FastForward        — determinism golden test incl. FastForward
-//   - Hart.BlockMaxLen          — superblock cap, timing-neutral by design
 //   - Hart.DisableBlockCache    — reference engine diffed bit-exact
 //   - Config.CheckpointAt       — checkpoint golden suite proves stop-at-C
 //   - restore + run-to-end is bit-identical to an uninterrupted run
@@ -76,7 +75,6 @@ var ExcludedConfigFields = []string{
 	"Workers",
 	"InterleaveQuantum",
 	"FastForward",
-	"Hart.BlockMaxLen",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }
@@ -140,7 +138,7 @@ func CanonicalBytes(kernel string, progHash [sha256.Size]byte, p kernels.Params,
 	e.cacheCfg("hart.l1i", h.L1I)
 	e.cacheCfg("hart.l1d", h.L1D)
 	e.bool("hart.mcpuoffload", h.MCPUOffload)
-	// Excluded: BlockMaxLen, DisableBlockCache.
+	// Excluded: DisableBlockCache.
 
 	u := cfg.Uncore
 	e.i64("uncore.tiles", int64(u.Tiles))

@@ -29,7 +29,6 @@ func TestKeyExcludesExecutionStrategy(t *testing.T) {
 		"Workers":           func(c *core.Config) { c.Workers = 7 },
 		"InterleaveQuantum": func(c *core.Config) { c.InterleaveQuantum = 64 },
 		"FastForward":       func(c *core.Config) { c.FastForward = true },
-		"BlockMaxLen":       func(c *core.Config) { c.Hart.BlockMaxLen = 8 },
 		"DisableBlockCache": func(c *core.Config) { c.Hart.DisableBlockCache = true },
 		"CheckpointAt":      func(c *core.Config) { c.CheckpointAt = 5000 },
 	}

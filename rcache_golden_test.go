@@ -121,8 +121,8 @@ func TestCacheKeyFieldGuard(t *testing.T) {
 			"Workers",
 		}},
 		{"cpu.Config", cpu.Config{}, []string{
-			"BlockMaxLen", "DisableBlockCache", "L1D", "L1I", "MCPUOffload",
-			"VLenBits", "VectorLanes",
+			"DisableBlockCache", "L1D", "L1I", "MCPUOffload", "VLenBits",
+			"VectorLanes",
 		}},
 		{"uncore.Config", uncore.Config{}, []string{
 			"BanksPerTile", "L2", "L2HitLatency", "L2MSHRs", "L2MissLatency",
