@@ -15,10 +15,12 @@ test:
 # orchestrator (Config.Workers > 1). The explicit TestWorkersFour pass
 # simulates every kernel with Workers=4 — more workers than most CI hosts
 # have cores — so the pool's happens-before edges get checked under an
-# oversubscribed scheduler too.
+# oversubscribed scheduler too. The explicit timeout: under -race on two
+# vCPUs the root package alone takes eight minutes, more with another
+# lane beside it, and Go's default is ten.
 race:
-	$(GO) test -race ./...
-	$(GO) test -race -run 'TestWorkersFour' .
+	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 30m -run 'TestWorkersFour' .
 
 # Workers>1 golden-trace lane: byte-identical .prv traces and cycle counts
 # for Workers ∈ {1, 2, 3, NumCPU}, plus the forced same-line conflict that

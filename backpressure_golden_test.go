@@ -55,7 +55,6 @@ func backpressurePoints() []Point {
 		{"llc-hit1", mshr4(func(c *Config) { c.Uncore.LLCEnable, c.Uncore.LLCHitLatency = true, 1 })},
 		{"rowbits11", mshr4(func(c *Config) { c.Uncore.MemRowBits = 11 })},
 		{"mcpu", mshr4(func(c *Config) { c.Hart.MCPUOffload = true })},
-		{"fast-forward", mshr4(func(c *Config) { c.FastForward = true })},
 		{"interleave8", mshr4(func(c *Config) { c.InterleaveQuantum = 8 })},
 		{"mshr8-prefetch2", func(c *Config) { c.Uncore.L2MSHRs, c.Uncore.PrefetchDepth = 8, 2 }},
 	}

@@ -139,28 +139,6 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// --- E9 (extension): fast-forward ablation ---
-
-// BenchmarkFastForward quantifies the cost of Coyote's tick-every-cycle
-// orchestration versus jumping idle gaps: simulated cycles are identical,
-// wall-clock time is not — exactly the overhead the paper attributes to
-// running Spike with interleaving disabled.
-func BenchmarkFastForward(b *testing.B) {
-	for _, ff := range []bool{false, true} {
-		name := "tick-every-cycle"
-		if ff {
-			name = "fast-forward"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig(1)
-			cfg.FastForward = ff
-			cfg.Uncore.MemLatency = 400
-			runPoint(b, "spmv-scalar",
-				Params{N: 512, Cores: 1, Density: 0.02}, cfg)
-		})
-	}
-}
-
 // --- E10 (extension): Figure-2 LLC level ---
 
 // BenchmarkLLC measures the third cache level from the paper's Figure 2

@@ -198,3 +198,79 @@ func TestSampledVsFull(t *testing.T) {
 		full.Cycles, sr.EstimatedCycles, sr.EstimatedCyclesLo, sr.EstimatedCyclesHi,
 		ratio, sr.DetailedInstret, sr.TotalInstret)
 }
+
+// TestStopsMatchReferenceEngine stops an 8-core matmul-scalar at every
+// cycle of a 300-cycle window, and at every instruction count of a window
+// as wide, and requires the machine at each stop to be — byte for byte, as
+// CheckpointState writes it — the one the reference engine has there. The
+// block engine reaches each stop in one call, from a system of its own,
+// so whatever it ran ahead of the clock was clamped by that stop alone;
+// the reference engine ticks from stop to stop and runs nothing ahead.
+func TestStopsMatchReferenceEngine(t *testing.T) {
+	const name, window = "matmul-scalar", 300
+	params := Params{N: 48, Cores: 8, Seed: 1}
+	prepare := func(ref bool) *System {
+		cfg := DefaultConfig(8)
+		cfg.Hart.DisableBlockCache = ref
+		sys, err := PrepareKernel(name, params, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	state := func(sys *System) []byte {
+		var w ckpt.Writer
+		if err := sys.CheckpointState(&w); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	full, err := prepare(false).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := full.Cycles / 2
+
+	t.Run("RunTo", func(t *testing.T) {
+		ref := prepare(true)
+		ahead := uint64(0)
+		for n := first; n < first+window; n++ {
+			if _, stopped, err := ref.RunTo(n); err != nil || !stopped {
+				t.Fatalf("reference RunTo(%d): stopped=%v err=%v", n, stopped, err)
+			}
+			sys := prepare(false)
+			res, stopped, err := sys.RunTo(n)
+			if err != nil || !stopped {
+				t.Fatalf("RunTo(%d): stopped=%v err=%v", n, stopped, err)
+			}
+			ahead += res.Host.LookaheadInstr
+			if !bytes.Equal(state(sys), state(ref)) {
+				t.Fatalf("stopped at cycle %d the machine differs from the reference engine's", n)
+			}
+		}
+		if ahead == 0 {
+			t.Error("test premise broken: nothing ran ahead of the clock")
+		}
+	})
+
+	t.Run("RunUntilInstret", func(t *testing.T) {
+		ref := prepare(true)
+		if _, stopped, err := ref.RunTo(first); err != nil || !stopped {
+			t.Fatal(stopped, err)
+		}
+		from := ref.TotalInstret()
+		for target := from; target < from+window; target++ {
+			if _, stopped, err := ref.RunUntilInstret(target); err != nil || !stopped {
+				t.Fatalf("reference RunUntilInstret(%d): stopped=%v err=%v", target, stopped, err)
+			}
+			sys := prepare(false)
+			if _, stopped, err := sys.RunUntilInstret(target); err != nil || !stopped {
+				t.Fatalf("RunUntilInstret(%d): stopped=%v err=%v", target, stopped, err)
+			}
+			if sys.Cycle() != ref.Cycle() || !bytes.Equal(state(sys), state(ref)) {
+				t.Fatalf("stopped at %d instructions: cycle %d, the reference engine stops at %d; machines equal: %v",
+					target, sys.Cycle(), ref.Cycle(), bytes.Equal(state(sys), state(ref)))
+			}
+		}
+	})
+}

@@ -46,7 +46,6 @@ func main() {
 		llc        = flag.Bool("llc", false, "enable the shared last-level cache (Figure 2 third level)")
 		prefetch   = flag.Int("prefetch", 0, "L2 next-line prefetch depth (0 = off)")
 		rowBits    = flag.Uint("row-bits", 0, "enable DRAM row-buffer model with this row size in bits (e.g. 13 = 8 KiB rows)")
-		fastFwd    = flag.Bool("fastforward", false, "skip idle cycles (wall-clock optimisation; timing identical)")
 		mcpu       = flag.Bool("mcpu", false, "offload vector gathers/scatters to the memory-controller CPUs (ACME MCPU path)")
 		configPath = flag.String("config", "", "JSON config file overriding the defaults")
 		tracePfx   = flag.String("trace", "", "write Paraver trace files <prefix>.prv/.pcf/.row")
@@ -112,7 +111,6 @@ func main() {
 	cfg.Uncore.LLCEnable = *llc
 	cfg.Uncore.PrefetchDepth = *prefetch
 	cfg.Uncore.MemRowBits = *rowBits
-	cfg.FastForward = *fastFwd
 	cfg.Hart.MCPUOffload = *mcpu
 
 	// Checkpoint, restore and sampling are dedicated drivers: they run a

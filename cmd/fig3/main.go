@@ -1,8 +1,7 @@
 // Command fig3 regenerates Figure 3 of the paper: aggregate simulation
 // throughput (MIPS) as a function of the simulated core count, for the
 // scalar matmul and scalar SpMV kernels. It also exposes the interleaving
-// ablation discussed alongside the figure (-interleave) and the
-// fast-forward optimisation ablation (-fastforward), and can emit a
+// ablation discussed alongside the figure (-interleave), and can emit a
 // gnuplot-ready data file.
 //
 // Workloads weak-scale with the core count like the paper's: matmul grows
@@ -58,6 +57,9 @@ type point struct {
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"`
 	MIPS         float64 `json:"mips"`
+	// Where the run loop's host work went: visits, lookahead_instr,
+	// clock_jumps, cycles_jumped — exact counts, of the point's last run.
+	coyote.HostStats
 	BaselineMIPS float64 `json:"baseline_mips,omitempty"`
 	Speedup      float64 `json:"speedup,omitempty"`
 	// HostSerialized marks a workers>1 point measured on a host that
@@ -73,7 +75,6 @@ type summary struct {
 	Interleave  int    `json:"interleave"`
 	Interleaves []int  `json:"interleaves,omitempty"`
 	Engine      string `json:"engine,omitempty"`
-	FastForward bool   `json:"fastforward"`
 	Repeat      int    `json:"repeat"`
 	Warmup      int    `json:"warmup"`
 	Stat        string `json:"stat"`
@@ -126,7 +127,6 @@ func main() {
 		nnzPerRow   = flag.Int("nnz-per-row", 24, "SpMV nonzeros per row")
 		interleave  = flag.String("interleave", "1", "comma-separated interleaving quanta (1 = Coyote default)")
 		engine      = flag.String("engine", "block", "execution engine: block (superblock cache) or reference (per-instruction)")
-		fastForward = flag.Bool("fastforward", false, "enable the idle-cycle fast-forward optimisation")
 		repeat      = flag.Int("repeat", 5, "timed runs per point; median MIPS reported")
 		dataOut     = flag.String("o", "", "also write a gnuplot-style data file")
 		jsonOut     = flag.String("json", "BENCH_fig3.json", "machine-readable summary file (empty to skip)")
@@ -210,8 +210,8 @@ func main() {
 	}
 
 	hostCPUs, hostProcs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
-	fmt.Printf("# Figure 3: simulation throughput vs simulated cores (interleave=%s engine=%s fastforward=%v repeat=%d+1 warmup)\n",
-		*interleave, *engine, *fastForward, *repeat)
+	fmt.Printf("# Figure 3: simulation throughput vs simulated cores (interleave=%s engine=%s repeat=%d+1 warmup)\n",
+		*interleave, *engine, *repeat)
 	fmt.Printf("# host: %d CPUs, GOMAXPROCS=%d\n", hostCPUs, hostProcs)
 	fmt.Printf("%-20s %6s %8s %6s %8s %12s %12s %10s\n",
 		"kernel", "cores", "workers", "ilv", "n", "instructions", "cycles", "MIPS")
@@ -221,7 +221,6 @@ func main() {
 		Interleave:  quanta[0],
 		Interleaves: quanta,
 		Engine:      *engine,
-		FastForward: *fastForward,
 		Repeat:      *repeat,
 		Warmup:      1,
 		Stat:        "median",
@@ -251,7 +250,6 @@ func main() {
 					}
 					cfg := coyote.DefaultConfig(c)
 					cfg.InterleaveQuantum = q
-					cfg.FastForward = *fastForward
 					cfg.Workers = w
 					cfg.Hart.DisableBlockCache = *engine == "reference"
 					// One warmup run (page faults, branch predictors, heap
@@ -268,6 +266,7 @@ func main() {
 						}
 						p.Cycles = res.Cycles
 						p.Instructions = res.Instructions
+						p.HostStats = res.Host
 					}
 					p.MIPS = medianMIPS(samples)
 					p.HostSerialized = w > 1 && (hostCPUs == 1 || hostProcs == 1)

@@ -40,6 +40,9 @@ type Config = core.Config
 // throughput (MIPS — the paper's Figure 3 metric).
 type Result = core.Result
 
+// HostStats is Result.Host: where the run loop's own work went.
+type HostStats = core.HostStats
+
 // Params parameterises a built-in kernel (problem size, hart count,
 // sparsity, seed).
 type Params = kernels.Params
@@ -187,7 +190,7 @@ func DefaultCacheDir() (string, error) { return rcache.DefaultDir() }
 // KeyForPoint computes the canonical cache key of (kernel, params,
 // config): the SHA-256 of a versioned explicit encoding of the kernel's
 // assembled program and every semantics-affecting parameter. Execution
-// strategy (Workers, InterleaveQuantum, FastForward, superblock knobs)
+// strategy (Workers, InterleaveQuantum, the execution engine)
 // is excluded — the golden determinism matrix proves it cannot change
 // results, so all strategies share one cache line per logical point.
 func KeyForPoint(kernel string, p Params, cfg Config) (CacheKey, error) {

@@ -38,7 +38,7 @@ func FuzzKernelSan(f *testing.F) {
 	f.Add(byte(0), byte(0), byte(8), byte(0), byte(0), int64(1))     // smallest scalar run, default uncore
 	f.Add(byte(1), byte(2), byte(12), byte(0x0b), byte(0), int64(2)) // 4 harts, LLC + prefetch + page-to-bank
 	f.Add(byte(3), byte(1), byte(6), byte(0x30), byte(0), int64(3))  // tiny MSHR pool + row-buffer model
-	f.Add(byte(5), byte(3), byte(10), byte(0x46), byte(0), int64(4)) // 8 harts, shared-L2 flip, fast-forward
+	f.Add(byte(5), byte(3), byte(10), byte(0x46), byte(0), int64(4)) // 8 harts, shared-L2 flip
 	f.Add(byte(2), byte(2), byte(9), byte(0), byte(1), int64(5))     // 4 harts stepped by 2 workers
 	f.Add(byte(6), byte(3), byte(11), byte(0x81), byte(3), int64(6)) // 8 harts, 4 workers, quantum=8 + LLC
 	f.Fuzz(func(t *testing.T, kSel, coreSel, nSel, knobs, workersSel byte, seed int64) {
@@ -53,9 +53,6 @@ func FuzzKernelSan(f *testing.F) {
 		}
 		if knobs&0x02 != 0 {
 			cfg.Uncore.PrefetchDepth = 2
-		}
-		if knobs&0x04 != 0 {
-			cfg.FastForward = true
 		}
 		if knobs&0x08 != 0 {
 			cfg.Uncore.Mapping = uncore.PageToBank

@@ -30,12 +30,6 @@ func canonical(res *Result) string {
 	return b.String()
 }
 
-// TestDeterminismGolden runs every registered kernel twice at 4 cores and
-// demands byte-identical simulated-time statistics — the repeatability
-// property the paper leans on for design-space exploration ("the
-// simulations are deterministic"). A third run with FastForward enabled
-// must match too: skipping idle cycles is a wall-clock optimisation and
-// may not perturb simulated timing.
 // TestTraceDeterminismGolden runs every kernel twice with a Paraver
 // tracer attached and demands the rendered .prv streams be byte-identical
 // — a stronger check than aggregate statistics: the trace exposes the
@@ -82,27 +76,25 @@ func TestTraceDeterminismGolden(t *testing.T) {
 	}
 }
 
+// TestDeterminismGolden runs every registered kernel twice at 4 cores and
+// demands byte-identical simulated-time statistics — the repeatability
+// property the paper leans on for design-space exploration ("the
+// simulations are deterministic").
 func TestDeterminismGolden(t *testing.T) {
 	params := Params{N: 64, Cores: 4, Density: 0.05}
 	for _, name := range Kernels() {
 		t.Run(name, func(t *testing.T) {
-			run := func(ff bool) string {
-				cfg := DefaultConfig(4)
-				cfg.FastForward = ff
-				res, err := RunKernel(name, params, cfg)
+			run := func() string {
+				res, err := RunKernel(name, params, DefaultConfig(4))
 				if err != nil {
-					t.Fatalf("run (fastforward=%v): %v", ff, err)
+					t.Fatalf("run: %v", err)
 				}
 				return canonical(res)
 			}
-			first := run(false)
-			if second := run(false); second != first {
+			first := run()
+			if second := run(); second != first {
 				t.Errorf("two identical runs diverged:\n--- first\n%s--- second\n%s",
 					first, second)
-			}
-			if ff := run(true); ff != first {
-				t.Errorf("FastForward changed simulated stats:\n--- ticking\n%s--- fastforward\n%s",
-					first, ff)
 			}
 		})
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -203,5 +205,71 @@ func TestHostileTraceCountRejected(t *testing.T) {
 	copy(bad[payloadEnd:], sum[:])
 	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "trace claims") {
 		t.Fatalf("hostile trace-event count: got %v, want a trace-count error", err)
+	}
+}
+
+// TestConfigWithRemovedKeyRestores: Config lost its FastForward field
+// without a schema bump, so an image written before still carries the key
+// in its Config JSON. It must load and restore as if the key were absent
+// (the run loop it selected is now the only one, and timing never depended
+// on it).
+func TestConfigWithRemovedKeyRestores(t *testing.T) {
+	raw, err := os.ReadFile(saveMidRun(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cj, err := json.Marshal(img.Meta.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, cj)
+	if at < 8 || binary.LittleEndian.Uint64(raw[at-8:]) != uint64(len(cj)) {
+		t.Fatalf("cannot locate the Config JSON in the payload (at %d)", at)
+	}
+	old := bytes.Replace(cj, []byte(`"MaxCycles":`), []byte(`"FastForward":true,"MaxCycles":`), 1)
+	if len(old) == len(cj) {
+		t.Fatal("Config JSON has no MaxCycles key to anchor the insertion")
+	}
+	head := len(Magic) + 12
+	payloadEnd := len(raw) - sha256.Size
+	var file []byte
+	file = append(file, raw[:at-8]...)
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(old)))
+	file = append(file, old...)
+	file = append(file, raw[at+len(cj):payloadEnd]...)
+	binary.LittleEndian.PutUint64(file[len(Magic)+4:], uint64(len(file)-head))
+	sum := sha256.Sum256(file)
+	file = append(file, sum[:]...)
+
+	legacy, err := Decode(file)
+	if err != nil {
+		t.Fatalf("image with a FastForward key in its Config: %v", err)
+	}
+	if !reflect.DeepEqual(legacy.Meta.Config, img.Meta.Config) {
+		t.Errorf("Config decoded from the legacy image differs:\n%+v\n%+v", legacy.Meta.Config, img.Meta.Config)
+	}
+	sys, err := legacy.Restore(nil)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	want, err := img.Restore(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := want.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != wantRes.Cycles || res.Instructions != wantRes.Instructions {
+		t.Errorf("resumed legacy image: %d cycles, %d instructions; want %d, %d",
+			res.Cycles, res.Instructions, wantRes.Cycles, wantRes.Instructions)
 	}
 }

@@ -19,6 +19,9 @@ import (
 // Trace events are NOT serialized here: the Tracer is harness-owned, and
 // the harness (package coyote) snapshots its writer alongside this state.
 func (s *System) CheckpointState(w *ckpt.Writer) error {
+	if san.Enabled {
+		s.auditDue() // the image carries no due: no hart may be ahead of the clock
+	}
 	w.U64(s.cycle)
 	w.U64(uint64(len(s.runnable)))
 	for _, word := range s.runnable {

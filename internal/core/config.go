@@ -5,7 +5,8 @@
 // instruction on each active core, injects L1 misses into the uncore,
 // advances the event model to the current cycle, and wakes cores whose
 // pending registers become available — the simulation loop of paper
-// §III-A.
+// §III-A — and passes over the cycles in which no core has anything another
+// component could observe.
 package core
 
 import (
@@ -40,13 +41,6 @@ type Config struct {
 	Workers int
 	// MaxCycles aborts runaway simulations.
 	MaxCycles uint64
-	// FastForward lets the orchestrator jump over cycles in which no core
-	// can make progress (all stalled on memory), going straight to the
-	// next event. Coyote ticks every cycle — the behaviour behind the
-	// low-core-count throughput bottleneck of Figure 3 — so this defaults
-	// to false; enable it to trade that fidelity artefact for wall-clock
-	// speed (the E9 ablation).
-	FastForward bool
 	// StackTop is the initial stack pointer of hart 0; each subsequent
 	// hart gets a stack StackSize below the previous one.
 	StackTop  uint64

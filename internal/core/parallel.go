@@ -50,12 +50,6 @@ type ParStats struct {
 	Unsafe     uint64 // rollbacks due to spec-unsafe instructions (atomics)
 }
 
-// specOutcome records what one hart's speculative quantum produced.
-type specOutcome struct {
-	res         cpu.StepResult
-	executedAny bool // at least one instruction retired this quantum
-}
-
 // parState is the worker pool plus per-cycle shard bookkeeping. The pool
 // uses persistent goroutines with an atomic epoch broadcast and a
 // countdown barrier: a simulated cycle is far too short to amortize
@@ -64,7 +58,7 @@ type specOutcome struct {
 type parState struct {
 	workers int
 	list    []int         // runnable hart indices this cycle, ascending
-	outcome []specOutcome // indexed like list
+	outcome []cpu.StepResult // each hart's speculative quantum result, indexed like list
 	stats   ParStats
 
 	started bool
@@ -85,7 +79,7 @@ func (s *System) startWorkers() {
 		par.workers = len(s.Harts)
 	}
 	if cap(par.outcome) < len(s.Harts) {
-		par.outcome = make([]specOutcome, len(s.Harts))
+		par.outcome = make([]cpu.StepResult, len(s.Harts))
 	}
 	par.outcome = par.outcome[:len(s.Harts)]
 	par.quit = false
@@ -158,21 +152,17 @@ func (s *System) runShard(w int) {
 func (s *System) specStepHart(k int) {
 	par := &s.par
 	h := s.Harts[par.list[k]]
-	o := &par.outcome[k]
-	o.executedAny = false //coyote:specwrite-ok worker-private outcome slot, read only by the commit phase after the barrier
 	h.BeginSpec()
 	if !h.BlockEngineEnabled() {
 		// Reference per-instruction engine (differential testing).
 		var res cpu.StepResult
 		for q := 0; q < s.cfg.InterleaveQuantum; q++ {
 			res = h.Step(s.cycle)
-			if res == cpu.StepExecuted {
-				o.executedAny = true //coyote:specwrite-ok worker-private outcome slot (see above)
-				continue
+			if res != cpu.StepExecuted {
+				break
 			}
-			break
 		}
-		o.res = res //coyote:specwrite-ok worker-private outcome slot (see above)
+		par.outcome[k] = res //coyote:specwrite-ok worker-private outcome slot, read only by the commit phase after the barrier
 		return
 	}
 	rem := s.cfg.InterleaveQuantum
@@ -181,22 +171,20 @@ func (s *System) specStepHart(k int) {
 		var n int
 		n, res = h.StepBlock(s.cycle, rem)
 		rem -= n
-		if n > 0 {
-			o.executedAny = true //coyote:specwrite-ok worker-private outcome slot (see above)
-		}
 		if res != cpu.StepExecuted {
 			break
 		}
 		// res == StepExecuted implies n ≥ 1, so rem strictly decreases.
 	}
-	o.res = res //coyote:specwrite-ok worker-private outcome slot (see above)
+	par.outcome[k] = res //coyote:specwrite-ok worker-private outcome slot, read only by the commit phase after the barrier
 }
 
 // stepCycleParallel runs one simulated cycle's functional phase on the
 // worker pool: speculative parallel execution, then the sequential commit
 // walk. Committed machine state is bit-identical to stepCycleSeq for any
-// worker count.
-func (s *System) stepCycleParallel() (bool, error) {
+// worker count. Every runnable hart is visited every cycle: nothing runs
+// ahead of the clock under speculation.
+func (s *System) stepCycleParallel() error {
 	par := &s.par
 	par.list = par.list[:0]
 	for w, word := range s.runnable {
@@ -207,16 +195,14 @@ func (s *System) stepCycleParallel() (bool, error) {
 		}
 	}
 	n := len(par.list)
-	anyRunnable := false
 	if n == 0 {
-		return false, nil
+		return nil
 	}
 	if n == 1 {
 		// A single runnable hart gains nothing from speculation; the
 		// sequential path commits the identical state with less work.
 		i := par.list[0]
-		err := s.stepHart(i, s.Harts[i], &anyRunnable)
-		return anyRunnable, err
+		return s.stepHart(i, s.Harts[i])
 	}
 
 	// Phase 1: speculative execution across the pool.
@@ -234,38 +220,36 @@ func (s *System) stepCycleParallel() (bool, error) {
 	// Phase 2: sequential commit in hart-index order.
 	for k, i := range par.list {
 		h := s.Harts[i]
-		o := &par.outcome[k]
-		if o.res == cpu.StepSpecUnsafe || !h.ValidateSpec() {
-			if o.res == cpu.StepSpecUnsafe {
+		res := par.outcome[k]
+		if res == cpu.StepSpecUnsafe || !h.ValidateSpec() {
+			if res == cpu.StepSpecUnsafe {
 				par.stats.Unsafe++
 			} else {
 				par.stats.Conflicts++
 			}
 			h.AbortSpec()
-			if err := s.stepHart(i, h, &anyRunnable); err != nil {
+			if err := s.stepHart(i, h); err != nil {
 				s.abortSpecsFrom(k + 1)
-				return false, err
+				return err
 			}
 			continue
 		}
 		h.CommitSpec()
 		par.stats.Commits++
+		s.host.Visits++
 		if len(h.Events) > 0 {
 			s.dispatch(h)
 		}
-		if o.executedAny {
-			anyRunnable = true
-		}
-		if err := s.applyStepResult(i, h, o.res, &anyRunnable); err != nil {
+		if err := s.applyStepResult(i, h, res); err != nil {
 			s.abortSpecsFrom(k + 1) //coyote:mut-survivor out-of-scope: post-fatal unwind; Run returns the error and nothing after the failed slot is committed or observable
-			return false, err
+			return err
 		}
 		if san.Enabled {
 			san.Check(!h.SpecArmed(), s.cycle, "core.parallel",
 				"hart left speculation armed after its commit slot", uint64(i), 0)
 		}
 	}
-	return anyRunnable, nil
+	return nil
 }
 
 // abortSpecsFrom rolls back any still-armed speculations when the commit

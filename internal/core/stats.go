@@ -32,6 +32,24 @@ type Result struct {
 	// counters legitimately vary with the worker count even though the
 	// committed simulation state does not.
 	Par ParStats
+
+	// Host says where the orchestrator's own work went. Like Par it is
+	// outside the golden determinism surface: the counts depend on the
+	// execution strategy (engine, InterleaveQuantum, Workers, where the
+	// run was stopped and resumed) while the simulated result does not.
+	Host HostStats
+}
+
+// HostStats counts the run loop's work on the host, from inside: hart
+// visits (StepAhead/StepBlock/Step quanta attempted, busy cycles
+// included), instructions retired ahead of the clock, and the cycles the
+// clock passed over because nothing was due in them. Counted from
+// construction or restore; not checkpointed.
+type HostStats struct {
+	Visits         uint64 `json:"visits"`
+	LookaheadInstr uint64 `json:"lookahead_instr"`
+	ClockJumps     uint64 `json:"clock_jumps"`
+	CyclesJumped   uint64 `json:"cycles_jumped"`
 }
 
 // MIPS returns simulated millions of instructions per wall-clock second —
@@ -136,6 +154,7 @@ func (s *System) collect(wall time.Duration) *Result {
 		WallTime:  wall,
 		UncoreRaw: s.Uncore.Snapshot(),
 		Par:       s.par.stats,
+		Host:      s.host,
 	}
 	for _, h := range s.Harts {
 		r.HartStats = append(r.HartStats, h.Stats)
@@ -169,6 +188,8 @@ func (r *Result) Report() string {
 	fmt.Fprintf(&b, "memory            %d line reads, %d line writes\n",
 		r.MemReads(), r.MemWrites())
 	fmt.Fprintf(&b, "dependency stalls %d cycles\n", r.TotalStalls())
+	fmt.Fprintf(&b, "host work         %d hart visits, %d instructions run ahead, %d clock jumps over %d cycles\n",
+		r.Host.Visits, r.Host.LookaheadInstr, r.Host.ClockJumps, r.Host.CyclesJumped)
 	return b.String()
 }
 

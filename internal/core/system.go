@@ -59,6 +59,32 @@ type System struct {
 	halted   []bool
 	nDone    int
 
+	// due is the cycle at which each runnable hart next needs a visit,
+	// dense so that passing over a hart that is not due touches no Hart.
+	// A sequential InterleaveQuantum-1 visit at cycle c that retires n
+	// instructions — its own and n-1 looked ahead into (cpu.StepAhead) —
+	// sets due to c+n. Workers > 1, InterleaveQuantum > 1 and the reference
+	// engine keep one visit a cycle (due = c+1) and gain only the clock
+	// jump over cycles in which nothing is due. A wake-up makes its hart
+	// due the next cycle. Not checkpointed: at every stop due ≤ cycle for
+	// all harts, which is all a restored run needs to know. minDue is the
+	// earliest due among the runnable harts, noStop when there are none.
+	due    []uint64
+	minDue uint64
+
+	// aheadLimit is the cycle no hart may run ahead to or past during the
+	// current run call — the stop bound or MaxCycles, whichever is nearer —
+	// and aheadSpan how far past its own cycle one visit may carry a hart:
+	// maxAhead, 1 in an instruction-bounded run (no look-ahead), 0 where
+	// visits do not go through StepAhead at all.
+	aheadLimit uint64
+	aheadSpan  uint64
+
+	host HostStats
+
+	// sanTextGen is the image generation coyotesan last saw (sanCheckReload).
+	sanTextGen uint64
+
 	// doneFns holds one long-lived completion callback per hart. Miss
 	// completions carry a packed argument (doneFetch, or dest kind/reg)
 	// instead of a fresh closure per event — see dispatch. doneH holds the
@@ -103,6 +129,7 @@ func New(cfg Config) (*System, error) {
 		Eng:        evsim.NewEngine(),
 		runnable:   make([]uint64, (cfg.Cores+63)/64),
 		halted:     make([]bool, cfg.Cores),
+		due:        make([]uint64, cfg.Cores),
 		doneFns:    make([]func(uint64), cfg.Cores),
 		doneH:      make([]evsim.Handle, cfg.Cores),
 		stallSince: make([]uint64, cfg.Cores),
@@ -168,6 +195,7 @@ func (s *System) decodeText() {
 	for _, h := range s.Harts {
 		h.SetText(text)
 	}
+	s.sanTextGen, _ = s.Harts[0].TextReload()
 }
 
 // Program returns the loaded program image (nil before LoadProgram) —
@@ -277,6 +305,12 @@ func (s *System) dispatch(h *cpu.Hart) {
 func (s *System) wake(hart int) {
 	if s.runnable[hart/64]&(1<<(hart%64)) == 0 && !s.halted[hart] {
 		s.runnable[hart/64] |= 1 << (hart % 64)
+		// Completions fire inside AdvanceTo(s.cycle), after the cycle's
+		// visits: the hart steps again at the next one.
+		s.due[hart] = s.cycle + 1
+		if s.minDue > s.cycle+1 {
+			s.minDue = s.cycle + 1
+		}
 		// Credit the cycles the core sat parked (its own Step already
 		// counted the cycle on which it reported the stall).
 		if now := s.Eng.Now(); now > s.stallSince[hart]+1 {
@@ -304,6 +338,13 @@ func (s *System) ResetStats() {
 
 // noStop disables a run-loop stop bound.
 const noStop = ^uint64(0)
+
+// maxAhead bounds how far one visit may carry a hart ahead of the clock. A
+// hart in a long register-only loop would otherwise hold the host until
+// the loop or MaxCycles ends, while another hart may be about to end the
+// run (a fault, an exit that makes the result final); at this length the
+// per-visit cost it amortises is already invisible.
+const maxAhead = 4096
 
 // Run simulates until every hart halts, a fault occurs, or MaxCycles is
 // reached.
@@ -351,6 +392,23 @@ func (s *System) run(stopCycle, stopInstret uint64) (*Result, bool, error) {
 		s.startWorkers()
 		defer s.stopWorkers()
 	}
+	// A hart runs ahead of the clock only on the sequential path at
+	// InterleaveQuantum 1 with the block engine, and never to or past the
+	// cycle this call can stop at: at a RunTo stop every hart is where a
+	// cycle-by-cycle run has it. An instruction bound stops at the first
+	// cycle the count is reached, which look-ahead would move.
+	bound := min(stopCycle, s.cfg.MaxCycles)
+	s.aheadLimit = bound
+	s.aheadSpan = 0
+	if !parallel && s.cfg.InterleaveQuantum == 1 && !s.cfg.Hart.DisableBlockCache {
+		s.aheadSpan = maxAhead
+		if stopInstret != noStop {
+			s.aheadSpan = 1
+		}
+	}
+	// Every hart left runnable by the previous call (or a restore, or
+	// RunFunctional) is due now; the first sweep works out the rest.
+	s.minDue = s.cycle
 	stopped := false
 	start := time.Now() //coyote:wallclock-ok wall-clock MIPS measurement only; never feeds back into simulated timing
 	for s.nDone < len(s.Harts) {
@@ -362,79 +420,50 @@ func (s *System) run(stopCycle, stopInstret uint64) (*Result, bool, error) {
 			return nil, false, fmt.Errorf("core: cycle limit %d reached (deadlock or runaway kernel?)",
 				s.cfg.MaxCycles)
 		}
-		var anyRunnable bool
-		var err error
-		if parallel {
-			anyRunnable, err = s.stepCycleParallel()
-		} else {
-			anyRunnable, err = s.stepCycleSeq()
-		}
-		if err != nil {
+		if s.minDue > s.cycle {
+			// No hart needs a visit this cycle: every one is parked, halted
+			// or has run ahead. Move the clock to the next cycle anything is
+			// due — a hart, an event, or the bound, which the checks above
+			// then act on.
+			next := s.minDue
+			if next == noStop && san.Enabled {
+				s.auditRunnable()
+			}
+			if t, ok := s.Eng.NextEventTime(); ok {
+				next = min(next, t)
+			} else if next == noStop {
+				return nil, false, fmt.Errorf(
+					"core: deadlock at cycle %d: %d/%d harts halted, none runnable, no pending events",
+					s.cycle, s.nDone, len(s.Harts))
+			}
+			next = min(next, bound)
+			if next > s.cycle {
+				s.jumpTo(next)
+				continue
+			}
+		} else if err := s.stepCycle(parallel); err != nil {
 			return nil, false, err
 		}
 
 		// Advance the event-driven model to "now", servicing anything due
 		// this cycle (paper: "the Orchestrator checks if Sparta has any
-		// in-flight events for the current cycle").
+		// in-flight events for the current cycle"). A completion that wakes
+		// a parked hart lowers minDue to the next cycle.
 		s.Eng.AdvanceTo(s.cycle)
 		s.cycle++
-
-		if anyRunnable {
-			continue
-		}
-		// Completions processed by AdvanceTo above may have re-added a
-		// hart to the runnable set after anyRunnable was computed.
-		if s.anyRunnableSet() {
-			continue
-		}
-		if san.Enabled {
-			s.auditRunnable()
-		}
-		// Every core is stalled or halted (a busy hart keeps its runnable
-		// bit and would have set anyRunnable above).
-		if s.nDone == len(s.Harts) {
-			// All done. Exit before consulting the event queue: leftover
-			// writeback events must not fast-forward the final cycle count
-			// past the point a ticking run would report.
-			break
-		}
-		// Find the next moment anything can change: the earliest pending
-		// event.
-		next, ok := s.Eng.NextEventTime()
-		if !ok {
-			return nil, false, fmt.Errorf(
-				"core: deadlock at cycle %d: %d/%d harts halted, none runnable, no pending events",
-				s.cycle, s.nDone, len(s.Harts))
-		}
-		if !s.cfg.FastForward {
-			// Coyote mode: tick every idle cycle (this is the wall-clock
-			// cost that bottlenecks low core counts in Figure 3).
-			continue
-		}
-		// Fast-forward: jump the clock to the next event time. The loop
-		// top keeps the canonical step-then-advance order, so completions
-		// still wake cores for the *following* cycle, exactly as when
-		// ticking cycle by cycle. Statistics count the skipped cycles.
-		// A stop bound clamps the jump: the loop passes through stopCycle
-		// (an empty runnable sweep and a no-op AdvanceTo — observationally
-		// identical to jumping over it) and breaks at the loop top.
-		if next > stopCycle {
-			next = stopCycle
-		}
-		if next > s.cycle {
-			s.cycle = next
-		}
 	}
 	if stopped {
 		// Stop-bound exit: leave the calendar pending for the checkpoint
-		// and skip the end-of-run audits — the run is not over. A clamped
-		// fast-forward jump can leave the engine clock behind the stop
-		// boundary with nothing scheduled in between; normalize it to the
-		// canonical cycle-1 position (a pure clock move: the earliest
-		// pending event is at or past the stop cycle, or the engine would
-		// already be there).
+		// and skip the end-of-run audits — the run is not over. A stop on
+		// entry after RunFunctional finds the engine clock where the drain
+		// left it, behind the boundary with nothing scheduled in between;
+		// normalize it to the canonical cycle-1 position (a pure clock
+		// move: the calendar is empty).
 		if s.cycle > 0 && s.Eng.Now() < s.cycle-1 {
 			s.Eng.AdvanceTo(s.cycle - 1)
+		}
+		if san.Enabled {
+			s.auditDue()
 		}
 		return s.collect(time.Since(start)), true, nil //coyote:wallclock-ok reports simulator throughput; simulated state is already final
 	}
@@ -449,60 +478,124 @@ func (s *System) run(stopCycle, stopInstret uint64) (*Result, bool, error) {
 	return s.collect(time.Since(start)), false, nil //coyote:wallclock-ok reports simulator throughput; simulated state is already final
 }
 
+// jumpTo moves the clock from a cycle in which nothing is due to next. A
+// hart steps at cycle c with the engine at c-1, or every request it submits
+// is stamped early; nothing is queued before next, so moving the engine
+// there runs no event.
+func (s *System) jumpTo(next uint64) {
+	executed := s.Eng.Executed()
+	s.Eng.AdvanceTo(next - 1)
+	if san.Enabled {
+		t, ok := s.Eng.NextEventTime()
+		san.Check(s.Eng.Executed() == executed && (!ok || t >= next), s.cycle, "core.due",
+			"clock jump passed over a queued event", next, t)
+	}
+	s.host.ClockJumps++
+	s.host.CyclesJumped += next - s.cycle
+	s.cycle = next
+}
+
+// stepCycle visits the harts due at the current cycle and leaves minDue
+// at the earliest cycle one is due again.
+func (s *System) stepCycle(parallel bool) error {
+	if !parallel {
+		return s.stepCycleSeq()
+	}
+	err := s.stepCycleParallel()
+	s.minDue = noStop
+	if s.anyRunnableSet() {
+		s.minDue = s.cycle + 1
+	}
+	return err
+}
+
 // stepCycleSeq is the classic single-goroutine functional phase: step
-// every runnable hart in index order, dispatching misses as they appear.
-// Sweep only the harts that want attention. Completions cannot fire
-// mid-sweep (they run inside AdvanceTo afterwards), and a stepped hart can
-// only park or halt itself, so iterating over word copies visits exactly
-// the harts that were runnable at cycle start — in index order, like the
-// old full scan.
-func (s *System) stepCycleSeq() (bool, error) {
-	anyRunnable := false
+// every hart that is due, in index order, dispatching misses as they
+// appear. Completions cannot fire mid-sweep (they run inside AdvanceTo
+// afterwards), and a stepped hart can only park or halt itself, so
+// iterating over word copies visits exactly the harts that were runnable
+// at cycle start. A hart passed over because it has run ahead is, on this
+// cycle, executing an instruction nothing else can observe: the harts
+// that touch memory still do so in index order, so the functional memory
+// interleaving — and therefore simulated timing — is that of a sweep over
+// every runnable hart.
+func (s *System) stepCycleSeq() error {
+	minDue := noStop
 	for w, word := range s.runnable {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
 			i := w*64 + b
-			if err := s.stepHart(i, s.Harts[i], &anyRunnable); err != nil {
-				return false, err
+			d := s.due[i]
+			if d <= s.cycle {
+				if err := s.stepHart(i, s.Harts[i]); err != nil {
+					return err
+				}
+				if san.Enabled {
+					s.sanCheckReload(s.Harts[i])
+				}
+				if s.runnable[w]&(1<<b) == 0 {
+					continue // parked or halted
+				}
+				d = s.due[i]
 			}
+			minDue = min(minDue, d)
 		}
 	}
-	return anyRunnable, nil
+	s.minDue = minDue
+	return nil
 }
 
-// stepHart runs one hart's interleave quantum sequentially — the per-hart
-// body of the classic loop. It is also the serial re-execution fallback
-// for misspeculated or spec-unsafe harts in the parallel commit walk.
+// stepHart is one visit to a hart at the current cycle: its interleave
+// quantum, run sequentially. It is also the serial re-execution fallback
+// for misspeculated or spec-unsafe harts in the parallel commit walk. It
+// leaves the hart parked, halted, or due at a later cycle.
 //
 // The quantum is consumed in superblock bites via StepBlock, with one
 // dispatch per bite instead of one per instruction. Batching does not
 // move any simulated event: every instruction of the quantum runs at the
 // same cycle, so the uncore sees the identical requests in the identical
-// order at the identical time — only the Go-side call count changes. The
+// order at the identical time — only the Go-side call count changes. At
+// InterleaveQuantum 1 the bite is StepAhead's: the visit's own
+// instruction, whose events are dispatched here at this cycle, and the
+// register-only instructions behind it, which produce none. The
 // reference per-instruction engine (Hart.DisableBlockCache) keeps the
 // classic step-then-dispatch loop for differential testing.
-func (s *System) stepHart(i int, h *cpu.Hart, anyRunnable *bool) error {
+func (s *System) stepHart(i int, h *cpu.Hart) error {
+	if san.Enabled {
+		san.Check(s.due[i] <= s.cycle, s.cycle, "core.due",
+			"hart stepped before the cycle it is due", uint64(i), s.due[i])
+	}
+	s.host.Visits++
+	s.due[i] = s.cycle + 1
 	if h.BusyUntil() > s.cycle {
-		*anyRunnable = true // occupied, but will free itself
-		h.Stats.BusyCycles++
+		h.Stats.BusyCycles++ // occupied, but will free itself
 		return nil
 	}
 	if !h.BlockEngineEnabled() {
-		return s.stepHartRef(i, h, anyRunnable)
+		return s.stepHartRef(i, h)
+	}
+	if s.aheadSpan > 0 {
+		n, res := h.StepAhead(s.cycle, min(s.aheadLimit, s.cycle+s.aheadSpan))
+		if len(h.Events) > 0 {
+			s.dispatch(h)
+		}
+		if res != cpu.StepExecuted {
+			return s.applyStepResult(i, h, res)
+		}
+		s.due[i] = s.cycle + uint64(n)
+		s.host.LookaheadInstr += uint64(n - 1)
+		return nil
 	}
 	rem := s.cfg.InterleaveQuantum
 	for {
 		n, res := h.StepBlock(s.cycle, rem)
 		rem -= n
-		if n > 0 {
-			*anyRunnable = true
-		}
 		if len(h.Events) > 0 {
 			s.dispatch(h)
 		}
 		if res != cpu.StepExecuted {
-			return s.applyStepResult(i, h, res, anyRunnable)
+			return s.applyStepResult(i, h, res)
 		}
 		if rem == 0 {
 			return nil
@@ -514,17 +607,15 @@ func (s *System) stepHart(i int, h *cpu.Hart, anyRunnable *bool) error {
 // stepHartRef is the pre-superblock reference loop: one Step, one
 // dispatch, per instruction. Kept verbatim so the golden differential
 // tests can pin the block engine against it.
-func (s *System) stepHartRef(i int, h *cpu.Hart, anyRunnable *bool) error {
+func (s *System) stepHartRef(i int, h *cpu.Hart) error {
 	for q := 0; q < s.cfg.InterleaveQuantum; q++ {
 		res := h.Step(s.cycle)
 		if len(h.Events) > 0 {
 			s.dispatch(h)
 		}
-		if res == cpu.StepExecuted {
-			*anyRunnable = true
-			continue
+		if res != cpu.StepExecuted {
+			return s.applyStepResult(i, h, res)
 		}
-		return s.applyStepResult(i, h, res, anyRunnable)
 	}
 	return nil
 }
@@ -533,10 +624,10 @@ func (s *System) stepHartRef(i int, h *cpu.Hart, anyRunnable *bool) error {
 // final step result this cycle: halting, parking on stalls, stall-trace
 // emission. Shared by the sequential loop and the parallel commit walk,
 // which is what keeps the two paths' observable state identical.
-func (s *System) applyStepResult(i int, h *cpu.Hart, res cpu.StepResult, anyRunnable *bool) error {
+func (s *System) applyStepResult(i int, h *cpu.Hart, res cpu.StepResult) error {
 	switch res {
-	case cpu.StepExecuted:
-		*anyRunnable = true
+	case cpu.StepExecuted, cpu.StepBusy:
+		// still runnable, due next cycle
 	case cpu.StepFault:
 		return h.Fault
 	case cpu.StepHalted:
@@ -561,8 +652,6 @@ func (s *System) applyStepResult(i int, h *cpu.Hart, res cpu.StepResult, anyRunn
 		if res == cpu.StepStalledRAW && s.Tracer != nil {
 			s.Tracer.Event(s.cycle, i, TraceStallRAW, 0)
 		}
-	case cpu.StepBusy:
-		*anyRunnable = true
 	case cpu.StepSpecUnsafe:
 		// Only produced while speculation is armed; the parallel commit
 		// walk intercepts it before bookkeeping, and a sequential step can
@@ -572,8 +661,41 @@ func (s *System) applyStepResult(i int, h *cpu.Hart, res cpu.StepResult, anyRunn
 	return nil
 }
 
+// sanCheckReload reports a fence.i that changed an element of the image
+// while some hart was ahead of the clock: that hart has executed the old
+// decode on cycles at which, stepped a cycle at a time, it would have
+// fetched the new one. An image that holds a fence.i allows no look-ahead
+// (cpu.Text), so this cannot fire unless that rule is broken. Only called
+// in the coyotesan build.
+func (s *System) sanCheckReload(h *cpu.Hart) {
+	gen, changed := h.TextReload()
+	if gen == s.sanTextGen {
+		return
+	}
+	s.sanTextGen = gen
+	for j := range s.Harts {
+		if changed && s.runnable[j/64]&(1<<(j%64)) != 0 {
+			san.Check(s.due[j] <= s.cycle+1, s.cycle, "core.due",
+				"fence.i changed the image under a hart that has run ahead of the clock", uint64(j), s.due[j])
+		}
+	}
+}
+
+// auditDue checks, at a stop, that no runnable hart has run ahead of the
+// boundary: a checkpoint taken here carries no due, and a restored run
+// visits every runnable hart at its first cycle. Only called in the
+// coyotesan build.
+func (s *System) auditDue() {
+	for i := range s.Harts {
+		if s.runnable[i/64]&(1<<(i%64)) != 0 {
+			san.Check(s.due[i] <= s.cycle, s.cycle, "core.due",
+				"runnable hart due past the cycle the run stopped at", uint64(i), s.due[i])
+		}
+	}
+}
+
 // auditRunnable cross-checks the runnable bitset against per-hart state at
-// a quiescent point (no hart ran this cycle): halted harts must be out of
+// a quiescent point (no hart is runnable): halted harts must be out of
 // the set, and a parked, un-halted hart must have an outstanding fill that
 // can wake it. Only called in the coyotesan build.
 func (s *System) auditRunnable() {

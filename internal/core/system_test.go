@@ -208,10 +208,21 @@ func TestConsoleOutput(t *testing.T) {
 }
 
 func TestCycleLimitAborts(t *testing.T) {
-	s := newSystem(t, 1, func(c *Config) { c.MaxCycles = 10000 })
-	s.LoadProgram(mustAsm(t, "loop: j loop"))
-	if _, err := s.Run(); err == nil {
-		t.Fatal("runaway loop should hit the cycle limit")
+	for _, ref := range []bool{true, false} {
+		s := newSystem(t, 1, func(c *Config) { c.MaxCycles, c.Hart.DisableBlockCache = 10000, ref })
+		s.LoadProgram(mustAsm(t, "loop: j loop"))
+		if _, err := s.Run(); err == nil {
+			t.Fatal("runaway loop should hit the cycle limit")
+		}
+		// The block engine's hart runs ahead of the clock through its loop,
+		// but never to the limit or past it: like the reference engine's it
+		// retires one instruction a cycle from the cycle after its fetch
+		// miss is serviced (which no counter is credited with), none stamped
+		// 10000 or later.
+		if got := s.Harts[0].Stats.Instret + s.Harts[0].Stats.StallsFetch; s.Cycle() != 10000 || got != 9999 {
+			t.Errorf("reference engine %v: stopped at cycle %d with %d instruction and fetch-stall cycles accounted, want 10000 and 9999",
+				ref, s.Cycle(), got)
+		}
 	}
 }
 
@@ -268,14 +279,11 @@ func TestInterleavingSpeedFidelityTradeoff(t *testing.T) {
 	}
 }
 
-func TestFastForwardSkipsIdleCycles(t *testing.T) {
+func TestIdleCyclesCostNoVisits(t *testing.T) {
 	// One core waiting on a 5000-cycle memory round trip must not execute
-	// 5000 orchestrator iterations' worth of work: the event queue jump
-	// keeps the run fast while cycles still advance.
-	s := newSystem(t, 1, func(c *Config) {
-		c.Uncore.MemLatency = 5000
-		c.FastForward = true
-	})
+	// 5000 orchestrator iterations' worth of work: the clock jumps to the
+	// next event while cycles still advance.
+	s := newSystem(t, 1, func(c *Config) { c.Uncore.MemLatency = 5000 })
 	s.LoadProgram(mustAsm(t, `
 	_start:
 		la a0, data
@@ -294,6 +302,10 @@ func TestFastForwardSkipsIdleCycles(t *testing.T) {
 	}
 	if s.Harts[0].X[6] != 42 {
 		t.Errorf("t1 = %d", s.Harts[0].X[6])
+	}
+	if res.Host.Visits > 50 || res.Host.CyclesJumped < 2*5000-100 {
+		t.Errorf("%d hart visits, %d of %d cycles jumped: the two round trips (fetch, load) should cost neither visits nor ticks",
+			res.Host.Visits, res.Host.CyclesJumped, res.Cycles)
 	}
 }
 
@@ -346,33 +358,58 @@ func TestVectorKernelEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFastForwardPreservesTiming(t *testing.T) {
-	// Fast-forward is a pure wall-clock optimisation: simulated cycle
-	// counts and results must be identical with it on or off.
-	run := func(ff bool) (*System, *Result) {
-		s := newSystem(t, 4, func(c *Config) {
-			c.Uncore.MemLatency = 400
-			c.FastForward = ff
-		})
-		s.LoadProgram(mustAsm(t, barrierProgram))
-		res, err := s.Run()
+// runTicking drives s one cycle per RunTo call: every stop clamps the
+// clock jump and the look-ahead to that cycle, so the run visits every
+// runnable hart and ticks the engine every cycle, as the paper's
+// orchestrator does.
+func runTicking(t *testing.T, s *System) *Result {
+	t.Helper()
+	for c := uint64(1); ; c++ {
+		res, stopped, err := s.RunTo(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, res
+		if !stopped {
+			return res
+		}
 	}
-	sOff, off := run(false)
-	sOn, on := run(true)
-	if off.Cycles != on.Cycles {
-		t.Errorf("cycles differ: ff-off %d, ff-on %d", off.Cycles, on.Cycles)
+}
+
+func TestClockJumpPreservesTiming(t *testing.T) {
+	// Jumping the clock and running ahead of it are pure wall-clock
+	// optimisations: simulated cycle counts and results must equal those of
+	// the reference engine ticked a cycle at a time.
+	build := func(ref bool) *System {
+		s := newSystem(t, 4, func(c *Config) {
+			c.Uncore.MemLatency = 400
+			c.Hart.DisableBlockCache = ref
+		})
+		s.LoadProgram(mustAsm(t, barrierProgram))
+		return s
 	}
-	if off.Instructions != on.Instructions {
-		t.Errorf("instructions differ: %d vs %d", off.Instructions, on.Instructions)
+	sTick := build(true)
+	tick := runTicking(t, sTick)
+	sJump := build(false)
+	jump, err := sJump.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := sOff.Mem.Read64(sOff.MustSymbol("result"))
-	b := sOn.Mem.Read64(sOn.MustSymbol("result"))
+	if tick.Cycles != jump.Cycles {
+		t.Errorf("cycles differ: ticking %d, jumping %d", tick.Cycles, jump.Cycles)
+	}
+	if tick.Instructions != jump.Instructions {
+		t.Errorf("instructions differ: %d vs %d", tick.Instructions, jump.Instructions)
+	}
+	a := sTick.Mem.Read64(sTick.MustSymbol("result"))
+	b := sJump.Mem.Read64(sJump.MustSymbol("result"))
 	if a != b {
 		t.Errorf("results differ: %d vs %d", a, b)
+	}
+	if tick.Host.CyclesJumped != 0 || tick.Host.LookaheadInstr != 0 {
+		t.Errorf("the ticking run jumped %d cycles and ran %d instructions ahead", tick.Host.CyclesJumped, tick.Host.LookaheadInstr)
+	}
+	if jump.Host.CyclesJumped == 0 || jump.Host.LookaheadInstr == 0 {
+		t.Errorf("test premise broken: %d cycles jumped, %d instructions run ahead", jump.Host.CyclesJumped, jump.Host.LookaheadInstr)
 	}
 }
 

@@ -145,6 +145,48 @@ func TestFenceIInvalidatesSameCycleSpeculation(t *testing.T) {
 	}
 }
 
+// TestRacyFenceIMatchesReference: the looping harts of raceProg are not
+// synchronised with hart 0's fence.i, so the cycle on which each first
+// fetches the new decode shows in its sum. An image that holds a fence.i
+// allows no look-ahead: at InterleaveQuantum 1 the block engine must reach
+// the sums and the cycle count of the reference engine ticked a cycle at a
+// time. (A hart allowed to run ahead through the loop would have executed
+// the old addi on cycles past the fence.i.)
+func TestRacyFenceIMatchesReference(t *testing.T) {
+	if san.Enabled {
+		t.Skip("the program executes a patched instruction before fence.i, which coyotesan reports")
+	}
+	patched := riscv.Instr{Op: riscv.OpADDI, Rd: 11, Rs1: 11, Imm: 100, VM: true}
+	run := func(ref bool) (out [16]uint64, res *Result) {
+		s := newSystem(t, 16, func(c *Config) { c.Hart.DisableBlockCache = ref })
+		s.LoadProgram(mustAsm(t, raceProg))
+		s.Mem.Write32(s.MustSymbol("newinsn"), riscv.MustEncode(patched))
+		if ref {
+			res = runTicking(t, s)
+		} else {
+			var err error
+			if res, err = s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range out {
+			out[i] = s.Mem.Read64(s.MustSymbol("out") + uint64(i)*8)
+		}
+		return out, res
+	}
+	refOut, ref := run(true)
+	if refOut[1] < 4000+99*100 || refOut[1] > 4000*100-99*100 {
+		t.Fatalf("hart 1 summed %d: the patch must land well inside its loop", refOut[1])
+	}
+	out, res := run(false)
+	if out != refOut || res.Cycles != ref.Cycles {
+		t.Errorf("block engine: %v in %d cycles\nreference:    %v in %d cycles", out, res.Cycles, refOut, ref.Cycles)
+	}
+	if res.Host.LookaheadInstr != 0 {
+		t.Errorf("%d instructions ran ahead of the clock in an image that holds a fence.i", res.Host.LookaheadInstr)
+	}
+}
+
 // TestStoreToTextWithoutFenceI: nothing but fence.i touches the image, so
 // without one every hart goes on executing the old decode. coyotesan
 // reports that as cpu.selfmod at the stale fetch.

@@ -32,11 +32,11 @@ import (
 // Terminators execute through the plain Step path: their run is zero, and
 // StepBlock falls back to a single Step for them.
 
-// Inline classes for StepBlockFunctional: the handful of opcodes that
-// dominate scalar HPC kernels execute directly in the functional loop,
+// Inline classes: the handful of opcodes that dominate scalar HPC kernels
+// execute directly in StepBlockFunctional's and StepAhead's loops,
 // skipping execute's two-level dispatch. Every inline body must mirror
-// execute's semantics exactly (x0 guard, sign extension, warm-gated
-// memory side effects); everything else takes fastNone through execute.
+// execute's semantics exactly (x0 guard, sign extension, memory side
+// effects); everything else takes fastNone through execute.
 const (
 	fastNone uint8 = iota
 	fastADDI
@@ -56,7 +56,7 @@ const (
 	fastBGEU
 )
 
-// fastClass assigns a blockInstr its functional-loop inline class. Cold
+// fastClass assigns a blockInstr its inline class. Cold
 // path: runs once per instruction per image load.
 func fastClass(op riscv.Op) uint8 {
 	switch op {
@@ -274,6 +274,216 @@ chain:
 	h.Stats.Instret += uint64(retired)
 	h.L1I.Stats.Hits += hits
 	return retired, res
+}
+
+// StepAhead is the orchestrator's visit to a hart at InterleaveQuantum 1.
+// It attempts one instruction at cycle now exactly as StepBlock(now, 1)
+// does, and when that instruction retires and leaves the core free it goes
+// on through the instructions behind it for as long as each one
+//
+//   - is of the register-only class (blockInstr.ahead): nothing outside
+//     the hart can observe on which cycle it ran;
+//   - lies in the image, on the I-line the hart last fetched — one
+//     same-line L1I hit, counted as Step counts it;
+//   - names no register that is pending now: fills only ever clear
+//     pending bits, and the instructions in between set none, so it names
+//     none on its own cycle either;
+//   - is stamped before limit: instruction j of the call runs at now+j.
+//
+// It returns the instructions retired and the first attempt's result. On
+// StepExecuted the hart's next instruction belongs to cycle now+n, and
+// the caller must not visit the hart before then. limit must exceed now;
+// now+1 asks for no look-ahead. Not for use under armed speculation.
+//
+// The first instruction and those behind it dispatch the hot opcodes
+// through blockInstr.fast in one switch: at 32–128 interleaved harts the
+// host predicts neither level of execute's dispatch.
+//
+//coyote:allocfree
+func (h *Hart) StepAhead(now, limit uint64) (int, StepResult) {
+	if h.Halted {
+		return 0, StepHalted
+	}
+	if h.fetchPending {
+		h.Stats.StallsFetch++
+		return 0, StepStalledFetch
+	}
+	if now < h.busyUntil {
+		h.Stats.BusyCycles++
+		return 0, StepBusy
+	}
+	if san.Enabled {
+		san.Check(!h.spec.active && limit > now, now, "cpu.ahead",
+			"StepAhead under armed speculation or with no cycle to run in", uint64(h.ID), limit)
+	}
+	done := 0
+	if i := h.text.slot(h.PC); i >= uint64(len(h.text.code)) || h.text.code[i].fast == fastNone ||
+		!h.lastFetchValid || h.L1I.LineAddr(h.PC) != h.lastFetchLine {
+		// Anything but a hot opcode on the line already fetched takes the
+		// general path. No look-ahead behind an instruction that halted the
+		// hart, occupies the core past the next cycle (its busy cycles are
+		// counted a visit each) or took the fetched line away (fence.i).
+		n, res := h.StepBlock(now, 1)
+		if n == 0 || h.Halted || h.busyUntil > now+1 || !h.lastFetchValid {
+			return n, res
+		}
+		done = 1
+	}
+	return h.ahead(now, done, limit-now)
+}
+
+// ahead is StepAhead's loop: with done == 0 the instruction at PC is the
+// visit's own, a hot opcode on the fetched line, attempted at now; every
+// later one is looked ahead into, up to max instructions for the call.
+//
+//coyote:allocfree
+func (h *Hart) ahead(now uint64, done int, max uint64) (int, StepResult) {
+	t := h.text
+	pc := h.PC
+	line := h.lastFetchLine
+	lineMask := ^uint64(h.L1I.LineBytes() - 1)
+	n := done
+	for {
+		i := t.slot(pc)
+		if i >= uint64(len(t.code)) || pc&lineMask != line {
+			break
+		}
+		bi := &t.code[i]
+		if n > 0 && (!bi.ahead || uint64(n) >= max) {
+			break
+		}
+		// Hot opcodes and the register-only class hold no vector op:
+		// bi.use is the whole footprint.
+		use := &bi.use
+		if (use.ReadsX|use.WritesX)&h.pending[RegX] != 0 ||
+			(use.ReadsF|use.WritesF)&h.pending[RegF] != 0 {
+			if n > 0 {
+				break // its own cycle decides whether it stalls
+			}
+			h.L1I.Stats.Hits++
+			h.Stats.StallsRAW++
+			return 0, StepStalledRAW
+		}
+		if san.Enabled {
+			h.sanCheckFetch(pc, bi)
+			if n > 0 {
+				h.sanCheckAhead(now+uint64(n), bi)
+			}
+		}
+		switch in := &bi.in; bi.fast {
+		case fastADDI:
+			if in.Rd != 0 {
+				h.X[in.Rd] = h.X[in.Rs1] + uint64(in.Imm)
+			}
+			pc += 4
+		case fastADD:
+			if in.Rd != 0 {
+				h.X[in.Rd] = h.X[in.Rs1] + h.X[in.Rs2]
+			}
+			pc += 4
+		case fastLD:
+			a := h.X[in.Rs1] + uint64(in.Imm)
+			v := h.memRead64(a) // a read allocates its page: ld zero reads too, as in execute
+			if in.Rd != 0 {
+				h.X[in.Rd] = v
+			}
+			h.scalarLoadAccess(a, RegX, in.Rd)
+			pc += 4
+		case fastSD:
+			a := h.X[in.Rs1] + uint64(in.Imm)
+			h.memWrite64(a, h.X[in.Rs2])
+			h.scalarStoreAccess(a)
+			pc += 4
+		case fastFLD:
+			a := h.X[in.Rs1] + uint64(in.Imm)
+			h.F[in.Rd] = h.memRead64(a)
+			h.scalarLoadAccess(a, RegF, in.Rd)
+			pc += 4
+		case fastFSD:
+			a := h.X[in.Rs1] + uint64(in.Imm)
+			h.memWrite64(a, h.F[in.Rs2])
+			h.scalarStoreAccess(a)
+			pc += 4
+		case fastFMADDD:
+			h.setF64(in.Rd, math.FMA(h.getF64(in.Rs1), h.getF64(in.Rs2), h.getF64(in.Rs3)))
+			pc += 4
+		case fastFADDD:
+			h.setF64(in.Rd, h.getF64(in.Rs1)+h.getF64(in.Rs2))
+			pc += 4
+		case fastFMULD:
+			h.setF64(in.Rd, h.getF64(in.Rs1)*h.getF64(in.Rs2))
+			pc += 4
+		case fastBEQ:
+			if h.X[in.Rs1] == h.X[in.Rs2] {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		case fastBNE:
+			if h.X[in.Rs1] != h.X[in.Rs2] {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		case fastBLT:
+			if int64(h.X[in.Rs1]) < int64(h.X[in.Rs2]) {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		case fastBGE:
+			if int64(h.X[in.Rs1]) >= int64(h.X[in.Rs2]) {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		case fastBLTU:
+			if h.X[in.Rs1] < h.X[in.Rs2] {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		case fastBGEU:
+			if h.X[in.Rs1] >= h.X[in.Rs2] {
+				pc += uint64(in.Imm)
+			} else {
+				pc += 4
+			}
+		default:
+			// The rest of the register-only class, only ever looked ahead
+			// into (StepAhead keeps fastNone from a visit's own slot);
+			// execute cannot fault on it.
+			h.PC = pc // execute reads h.PC (auipc, jal, branch targets)
+			next := pc + 4
+			h.execute(bi.in, &next, now+uint64(n))
+			pc = next
+		}
+		n++
+	}
+	h.PC = pc
+	h.Stats.Instret += uint64(n - done)
+	h.L1I.Stats.Hits += uint64(n - done)
+	return n, StepExecuted
+}
+
+// sanCheckAhead checks, against the opcode itself and a footprint worked
+// out afresh, what the image's ahead flag and the scoreboard test claimed
+// of an instruction about to run ahead of the clock at cycle stamp. Only
+// called under san.Enabled.
+func (h *Hart) sanCheckAhead(stamp uint64, bi *blockInstr) {
+	cls := bi.in.Op.Classify()
+	san.Check(registerOnly(bi.in.Op) && !bi.isVec &&
+		cls&^(riscv.ClassALU|riscv.ClassBranch|riscv.ClassFloat) == 0,
+		stamp, "core.due", "looked ahead into an instruction outside the register-only class",
+		uint64(h.ID), uint64(bi.in.Op))
+	use := riscv.RegUsage(bi.in, 1)
+	san.Check((use.ReadsX|use.WritesX)&h.pending[RegX] == 0 &&
+		(use.ReadsF|use.WritesF)&h.pending[RegF] == 0,
+		stamp, "core.due", "looked ahead into an instruction that names a pending register",
+		uint64(h.ID), uint64(bi.in.Op))
+	san.Check(h.busyUntil <= stamp && !h.Halted && !h.fetchPending,
+		stamp, "core.due", "looked ahead on a hart that is busy, halted or waiting for a fetch",
+		uint64(h.ID), h.busyUntil)
 }
 
 // StepBlockFunctional is StepBlock's functional-mode twin: up to max

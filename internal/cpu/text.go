@@ -29,6 +29,10 @@ type Text struct {
 	// validate under another: the hart that executed fence.i committed
 	// ahead of it, and serially it would have fetched the new decode.
 	gen uint64
+
+	// changed records whether the latest reload (fence.i) found any word
+	// different from the element it replaced; coyotesan's core.due reads it.
+	changed bool
 }
 
 // blockInstr is one pre-decoded instruction of a Text.
@@ -46,7 +50,12 @@ type blockInstr struct {
 	run uint32
 
 	isVec bool
-	fast  uint8 // fastNone or the functional-loop inline class, see fastClass
+	fast  uint8 // fastNone or the inline class of a hot opcode, see fastClass
+
+	// ahead marks an instruction a hart may execute before its cycle comes
+	// (StepAhead): one of the register-only class, in an image that holds
+	// no fence.i.
+	ahead bool
 }
 
 // NewText decodes the words instruction words of m starting at base.
@@ -63,9 +72,23 @@ func NewText(m *mem.Memory, base uint64, words int) *Text {
 //coyote:specwrite-ok a new image is nobody's yet, and Step refuses fence.i under armed speculation
 func (t *Text) load(m *mem.Memory) {
 	t.vuse = t.vuse[:0]
+	fenceI := false
+	changed := false
 	for i := len(t.code) - 1; i >= 0; i-- {
-		t.set(i, m.Read32(t.base+uint64(i)*4))
+		raw := m.Read32(t.base + uint64(i)*4)
+		changed = changed || raw != t.code[i].raw
+		t.set(i, raw)
+		fenceI = fenceI || t.code[i].in.Op == riscv.OpFENCEI
 	}
+	if fenceI {
+		// A fence.i may re-decode any element under a hart that has run
+		// ahead of the clock through the old one (DESIGN.md §8): an image
+		// that holds a fence.i is executed a cycle at a time.
+		for i := range t.code {
+			t.code[i].ahead = false
+		}
+	}
+	t.changed = changed && t.gen > 0
 	t.gen++
 }
 
@@ -75,7 +98,7 @@ func (t *Text) load(m *mem.Memory) {
 //coyote:specwrite-ok called by load, and on the storing hart's own scratch image
 func (t *Text) set(i int, raw uint32) {
 	in, _ := riscv.Decode(raw) // failure leaves OpInvalid; Step faults the hart that gets there
-	bi := blockInstr{in: in, raw: raw, isVec: in.Op.IsVector(), fast: fastClass(in.Op)}
+	bi := blockInstr{in: in, raw: raw, isVec: in.Op.IsVector(), fast: fastClass(in.Op), ahead: registerOnly(in.Op)}
 	switch {
 	case in.Op == riscv.OpInvalid || blockTerminates(in.Op):
 	case i+1 == len(t.code) || in.Op.Classify()&riscv.ClassBranch != 0:
@@ -102,6 +125,49 @@ func (t *Text) set(i int, raw uint32) {
 func blockTerminates(op riscv.Op) bool {
 	return op.Classify()&(riscv.ClassSystem|riscv.ClassAtomic) != 0
 }
+
+// registerOnly reports whether op belongs to the class a hart may execute
+// ahead of the clock: it reads and writes nothing but the hart's own X and
+// F registers and PC, and execute cannot fault on it, so nothing outside
+// the hart — another hart, the uncore, the tracer — can tell on which
+// cycle it ran. An allow-list: an op is outside the class until it is
+// named here (loads, stores, atomics, CSR and system instructions and the
+// whole vector extension stay out).
+func registerOnly(op riscv.Op) bool {
+	switch op {
+	case riscv.OpLUI, riscv.OpAUIPC, riscv.OpJAL, riscv.OpJALR,
+		riscv.OpBEQ, riscv.OpBNE, riscv.OpBLT, riscv.OpBGE, riscv.OpBLTU, riscv.OpBGEU,
+		riscv.OpADDI, riscv.OpSLTI, riscv.OpSLTIU, riscv.OpXORI, riscv.OpORI, riscv.OpANDI,
+		riscv.OpSLLI, riscv.OpSRLI, riscv.OpSRAI,
+		riscv.OpADD, riscv.OpSUB, riscv.OpSLL, riscv.OpSLT, riscv.OpSLTU, riscv.OpXOR,
+		riscv.OpSRL, riscv.OpSRA, riscv.OpOR, riscv.OpAND,
+		riscv.OpADDIW, riscv.OpSLLIW, riscv.OpSRLIW, riscv.OpSRAIW,
+		riscv.OpADDW, riscv.OpSUBW, riscv.OpSLLW, riscv.OpSRLW, riscv.OpSRAW,
+		riscv.OpMUL, riscv.OpMULH, riscv.OpMULHSU, riscv.OpMULHU,
+		riscv.OpDIV, riscv.OpDIVU, riscv.OpREM, riscv.OpREMU,
+		riscv.OpMULW, riscv.OpDIVW, riscv.OpDIVUW, riscv.OpREMW, riscv.OpREMUW,
+		riscv.OpFADDS, riscv.OpFSUBS, riscv.OpFMULS, riscv.OpFDIVS, riscv.OpFSQRTS,
+		riscv.OpFSGNJS, riscv.OpFSGNJNS, riscv.OpFSGNJXS, riscv.OpFMINS, riscv.OpFMAXS,
+		riscv.OpFCVTWS, riscv.OpFCVTWUS, riscv.OpFCVTLS, riscv.OpFCVTLUS,
+		riscv.OpFCVTSW, riscv.OpFCVTSWU, riscv.OpFCVTSL, riscv.OpFCVTSLU,
+		riscv.OpFMVXW, riscv.OpFMVWX, riscv.OpFEQS, riscv.OpFLTS, riscv.OpFLES, riscv.OpFCLASSS,
+		riscv.OpFMADDS, riscv.OpFMSUBS, riscv.OpFNMSUBS, riscv.OpFNMADDS,
+		riscv.OpFADDD, riscv.OpFSUBD, riscv.OpFMULD, riscv.OpFDIVD, riscv.OpFSQRTD,
+		riscv.OpFSGNJD, riscv.OpFSGNJND, riscv.OpFSGNJXD, riscv.OpFMIND, riscv.OpFMAXD,
+		riscv.OpFCVTWD, riscv.OpFCVTWUD, riscv.OpFCVTLD, riscv.OpFCVTLUD,
+		riscv.OpFCVTDW, riscv.OpFCVTDWU, riscv.OpFCVTDL, riscv.OpFCVTDLU,
+		riscv.OpFCVTSD, riscv.OpFCVTDS,
+		riscv.OpFMVXD, riscv.OpFMVDX, riscv.OpFEQD, riscv.OpFLTD, riscv.OpFLED, riscv.OpFCLASSD,
+		riscv.OpFMADDD, riscv.OpFMSUBD, riscv.OpFNMSUBD, riscv.OpFNMADDD:
+		return true
+	}
+	return false
+}
+
+// TextReload reports how many times the hart's image has been decoded from
+// memory and whether the latest reload changed any element (coyotesan's
+// core.due invariant: no hart may be ahead of the clock when one does).
+func (h *Hart) TextReload() (gen uint64, changed bool) { return h.text.gen, h.text.changed }
 
 // lmulIndex selects among a vector op's four Text.vuse entries. LMUL is
 // 1, 2, 4 or 8, or 0 before the first vsetvl, which counts as 1.

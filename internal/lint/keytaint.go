@@ -14,8 +14,8 @@ import (
 
 // KeyTaintAnalyzer is the static proof behind the result cache's key
 // exclusions (DESIGN.md §11, §12). The cache key deliberately omits the
-// execution-strategy fields — Workers, InterleaveQuantum, FastForward,
-// Hart.DisableBlockCache — on the strength of a
+// execution-strategy fields — Workers, InterleaveQuantum,
+// Hart.DisableBlockCache, CheckpointAt — on the strength of a
 // determinism argument: they cannot influence committed results. This
 // analyzer turns that argument into an interprocedural dataflow check:
 //
@@ -54,18 +54,19 @@ var KeyTaintAnalyzer = &Analyzer{
 var keyExcludedFields = []string{
 	"Workers",
 	"InterleaveQuantum",
-	"FastForward",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }
 
 // keyResultAuditFields are Result fields that legitimately depend on
 // execution strategy and are NOT cache-poisoning sinks: wall-clock time
-// and the parallel-orchestrator audit counters are explicitly documented
-// as non-deterministic, and the cache stores them only as provenance.
+// the parallel-orchestrator audit counters and the run loop's host-work
+// counters are explicitly documented as non-deterministic, and the cache
+// stores them only as provenance.
 var keyResultAuditFields = map[string]bool{
 	"WallTime": true,
 	"Par":      true,
+	"Host":     true,
 }
 
 func runKeyTaint(pass *ProgramPass) {

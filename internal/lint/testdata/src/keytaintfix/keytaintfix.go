@@ -13,7 +13,7 @@ type Config struct {
 	MaxCycles         uint64
 	Workers           int
 	InterleaveQuantum int
-	FastForward       uint64
+	CheckpointAt      uint64
 	DisableBlockCache bool
 }
 
@@ -63,7 +63,7 @@ func InterprocFlow(cfg *Config, s *System) {
 
 // CallSinkFlow passes a source to a trace-emission sink call.
 func CallSinkFlow(cfg Config, t *Tracer) {
-	t.Event("ff", cfg.FastForward) // want `Config\.FastForward .*flows into trace emission Tracer\.Event`
+	t.Event("ckpt", cfg.CheckpointAt) // want `Config\.CheckpointAt .*flows into trace emission Tracer\.Event`
 	t.Event("cores", uint64(cfg.Cores))
 }
 

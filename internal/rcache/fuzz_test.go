@@ -35,7 +35,6 @@ var keyMutators = []keyMutator{
 	{"MCPUOffload", false, func(c *core.Config, p *kernels.Params) { c.Hart.MCPUOffload = !c.Hart.MCPUOffload }},
 	{"Workers", true, func(c *core.Config, p *kernels.Params) { c.Workers += 3 }},
 	{"InterleaveQuantum", true, func(c *core.Config, p *kernels.Params) { c.InterleaveQuantum += 7 }},
-	{"FastForward", true, func(c *core.Config, p *kernels.Params) { c.FastForward = !c.FastForward }},
 	{"CheckpointAt", true, func(c *core.Config, p *kernels.Params) { c.CheckpointAt += 1000 }},
 	{"DisableBlockCache", true, func(c *core.Config, p *kernels.Params) { c.Hart.DisableBlockCache = !c.Hart.DisableBlockCache }},
 }

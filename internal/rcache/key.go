@@ -19,7 +19,6 @@
 //
 //   - Config.Workers            — golden matrix Workers ∈ {1,2,3,NumCPU}
 //   - Config.InterleaveQuantum  — TestWorkersInterleaveMatrix {1,2,8,64}
-//   - Config.FastForward        — determinism golden test incl. FastForward
 //   - Hart.DisableBlockCache    — reference engine diffed bit-exact
 //   - Config.CheckpointAt       — checkpoint golden suite proves stop-at-C
 //   - restore + run-to-end is bit-identical to an uninterrupted run
@@ -74,7 +73,6 @@ const SchemaVersion = 3
 var ExcludedConfigFields = []string{
 	"Workers",
 	"InterleaveQuantum",
-	"FastForward",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }
@@ -130,7 +128,7 @@ func CanonicalBytes(kernel string, progHash [sha256.Size]byte, p kernels.Params,
 	e.u64("cfg.stacktop", cfg.StackTop)
 	e.u64("cfg.stacksize", cfg.StackSize)
 	// Excluded execution-strategy fields (see package comment):
-	// InterleaveQuantum, Workers, FastForward, CheckpointAt.
+	// InterleaveQuantum, Workers, CheckpointAt.
 
 	h := cfg.Hart
 	e.u64("hart.vlenbits", uint64(h.VLenBits))

@@ -28,7 +28,6 @@ func TestKeyExcludesExecutionStrategy(t *testing.T) {
 	muts := map[string]func(*core.Config){
 		"Workers":           func(c *core.Config) { c.Workers = 7 },
 		"InterleaveQuantum": func(c *core.Config) { c.InterleaveQuantum = 64 },
-		"FastForward":       func(c *core.Config) { c.FastForward = true },
 		"DisableBlockCache": func(c *core.Config) { c.Hart.DisableBlockCache = true },
 		"CheckpointAt":      func(c *core.Config) { c.CheckpointAt = 5000 },
 	}

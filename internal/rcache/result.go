@@ -10,9 +10,10 @@ import (
 )
 
 // Normalize returns a copy of r reduced to the deterministic result
-// surface the cache stores and compares: WallTime (host wall-clock) and
-// Par (speculation counters, legitimately worker-count-dependent) are
-// zeroed; everything else — cycles, instructions, per-hart stats, cache
+// surface the cache stores and compares: WallTime (host wall-clock), Par
+// (speculation counters, legitimately worker-count-dependent) and Host
+// (run-loop work counters, engine- and stop-dependent) are zeroed;
+// everything else — cycles, instructions, per-hart stats, cache
 // and uncore counters, exit codes, consoles — is the committed
 // simulation state the golden tests prove bit-identical across
 // execution strategies. A cache hit therefore reports WallTime 0: the
@@ -21,6 +22,7 @@ func Normalize(r *core.Result) *core.Result {
 	cp := Clone(r)
 	cp.WallTime = 0
 	cp.Par = core.ParStats{}
+	cp.Host = core.HostStats{}
 	return cp
 }
 

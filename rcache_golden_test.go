@@ -116,7 +116,7 @@ func TestCacheKeyFieldGuard(t *testing.T) {
 		want []string
 	}{
 		{"core.Config", Config{}, []string{
-			"CheckpointAt", "Cores", "CoresPerTile", "FastForward", "Hart",
+			"CheckpointAt", "Cores", "CoresPerTile", "Hart",
 			"InterleaveQuantum", "MaxCycles", "StackSize", "StackTop", "Uncore",
 			"Workers",
 		}},
