@@ -109,8 +109,12 @@ sample:
 # Fuzz smoke: explore random kernel/config combinations under the
 # sanitizer for FUZZTIME on top of the committed seed corpus in
 # testdata/fuzz/. Any invariant violation becomes a reproducible crasher.
+# Then restore patched machine states for FUZZTIME: no panic, hang or
+# allocation sized by the image (default build — the sanitizer's job is to
+# panic on an inconsistent machine, which a patched state is).
 fuzz:
 	$(GO) test -tags coyotesan -run '^$$' -fuzz FuzzKernelSan -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZTIME) ./internal/checkpoint
 
 # Mutation testing (DESIGN.md §13): the full catalog over the simulator
 # packages, adjudicated by the oracle cascade. Exit 1 on any unannotated

@@ -2,11 +2,15 @@ package coyote
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/coyote-sim/coyote/internal/ckpt"
+	"github.com/coyote-sim/coyote/internal/san"
 )
 
 func renderPRV(t *testing.T, tw *TraceWriter) []byte {
@@ -273,4 +277,88 @@ func TestStopsMatchReferenceEngine(t *testing.T) {
 			}
 		}
 	})
+}
+
+const checkpointGoldenPath = "testdata/checkpoint.golden"
+
+// TestCheckpointLayoutGolden pins the SHA-256 of whole checkpoint files:
+// six kernels stopped at half their run × interleave {1, 8}, with the
+// trace prefix embedded, plus TestCheckpointGolden's mid-storm point with
+// its non-empty waiting list. TestCheckpointGolden proves save and
+// restore agree with each other; this proves the bytes are the ones
+// checkpoint.SchemaVersion names, so it is the first test to fail when a
+// serializer's layout changes without a version bump. The file was
+// generated at the commit before the per-component archive methods
+// replaced the Checkpoint/Restore pairs. Regenerate only together with a
+// SchemaVersion bump:
+//
+//	COYOTE_UPDATE_GOLDEN=1 go test -run TestCheckpointLayoutGolden .
+//
+// The hashes are the default build's. A coyotesan build writes the same
+// layout with other LRU stamps — it takes the full path on a repeat access
+// to a set's most recent line (cache.Cache.Access), which ticks the LRU
+// clock the default build's memo skips; the order of the stamps, all that
+// victim choice reads, is the same.
+func TestCheckpointLayoutGolden(t *testing.T) {
+	if san.Enabled {
+		t.Skip("the golden pins the default build's LRU stamps")
+	}
+	type point struct {
+		name, kernel string
+		params       Params
+		cfg          Config
+		stopAt       uint64 // 0: half the uninterrupted run
+		traced       bool
+	}
+	var pts []point
+	for _, k := range []string{"matmul-scalar", "spmv-scalar", "axpy-vector", "spmv-vector-gather", "histogram-atomic", "copy-vector"} {
+		for _, il := range []int{1, 8} {
+			cfg := DefaultConfig(4)
+			cfg.InterleaveQuantum = il
+			pts = append(pts, point{fmt.Sprintf("%s/il%d", k, il), k, Params{N: 64, Cores: 4, Density: 0.05}, cfg, 0, true})
+		}
+	}
+	pts = append(pts, point{"mid-storm", "copy-vector", Params{N: 49152, Cores: 16, Seed: 1}, DefaultConfig(16), 20000, false})
+
+	var lines []string
+	for _, pt := range pts {
+		stopAt := pt.stopAt
+		if stopAt == 0 {
+			full, err := RunKernel(pt.kernel, pt.params, pt.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", pt.name, err)
+			}
+			stopAt = full.Cycles / 2
+		}
+		var tw *TraceWriter
+		if pt.traced {
+			tw = NewTraceWriter(pt.cfg.Cores)
+		}
+		path := filepath.Join(t.TempDir(), "layout.ckpt")
+		if _, stopped, err := RunToCheckpoint(pt.kernel, pt.params, pt.cfg, stopAt, path, tw); err != nil || !stopped {
+			t.Fatalf("%s: checkpoint at cycle %d: stopped=%v err=%v", pt.name, stopAt, stopped, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, fmt.Sprintf("%-32s %x", pt.name, sha256.Sum256(raw)))
+	}
+	got := strings.Join(lines, "\n") + "\n"
+
+	if os.Getenv("COYOTE_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(checkpointGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", checkpointGoldenPath)
+		return
+	}
+	want, err := os.ReadFile(checkpointGoldenPath)
+	if err != nil {
+		t.Fatalf("%v — regenerate with COYOTE_UPDATE_GOLDEN=1 go test -run TestCheckpointLayoutGolden .", err)
+	}
+	if got != string(want) {
+		t.Errorf("checkpoint files changed for a fixed machine: a serializer's layout moved.\n"+
+			"If intentional, bump checkpoint.SchemaVersion and regenerate with COYOTE_UPDATE_GOLDEN=1.\n\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }

@@ -190,9 +190,10 @@ func DefaultCacheDir() (string, error) { return rcache.DefaultDir() }
 // KeyForPoint computes the canonical cache key of (kernel, params,
 // config): the SHA-256 of a versioned explicit encoding of the kernel's
 // assembled program and every semantics-affecting parameter. Execution
-// strategy (Workers, InterleaveQuantum, the execution engine)
-// is excluded — the golden determinism matrix proves it cannot change
-// results, so all strategies share one cache line per logical point.
+// strategy (Workers, the execution engine) is excluded — the golden
+// determinism matrix proves it cannot change results, so all strategies
+// share one cache line per logical point. InterleaveQuantum is hashed: a
+// larger quantum is a coarser timing model, not a strategy.
 func KeyForPoint(kernel string, p Params, cfg Config) (CacheKey, error) {
 	return rcache.KeyForPoint(kernel, p, cfg)
 }

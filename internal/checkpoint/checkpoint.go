@@ -10,7 +10,7 @@
 //	20      N     payload (see below)
 //	20+N    32    SHA-256 over bytes [0, 20+N)
 //
-// The payload is an internal/ckpt section:
+// The payload is an internal/ckpt section, laid out by Image.archive:
 //
 //	kernel name, Params JSON, Config JSON        — run identity
 //	assembled program (bases, text, data, entry,
@@ -26,13 +26,16 @@
 // # Versioning
 //
 // SchemaVersion mirrors the rcache.SchemaVersion bump policy: the binary
-// layout IS the code of the component serializers (internal/ckpt has no
-// per-field tags), so ANY layout change — a new field in a component's
-// Checkpoint method, a reordering, a width change — must bump the version
-// here. Old files are then rejected with a clear error instead of being
-// misparsed; checkpoints are cheap to regenerate, so there are no
-// migration paths, only refusals (same stance as rcache: stale entries
-// are never found again).
+// layout IS the code of the components' archive methods (internal/ckpt has
+// no per-field tags; each component states its layout once, for both
+// directions), so ANY layout change — a new field in an archive method, a
+// reordering, a width change — must bump the version here. Old files are
+// then rejected with a clear error instead of being misparsed;
+// checkpoints are cheap to regenerate, so there are no migration paths,
+// only refusals (same stance as rcache: stale entries are never found
+// again). testdata/checkpoint.golden (root TestCheckpointLayoutGolden)
+// pins the SHA-256 of whole files and is the first test to fail when a
+// layout moves without a bump.
 //
 // Version history:
 //
@@ -53,7 +56,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"github.com/coyote-sim/coyote/internal/asm"
 	"github.com/coyote-sim/coyote/internal/ckpt"
@@ -88,44 +90,70 @@ type Image struct {
 	State []byte
 }
 
+// archive is the payload's layout: run identity, the assembled program
+// (restore needs no assembler), the tracer's event prefix, the machine
+// state as one byte string.
+func (img *Image) archive(a *ckpt.Archive) {
+	a.String(&img.Meta.Kernel)
+	archiveJSON(a, &img.Meta.Params, "params")
+	archiveJSON(a, &img.Meta.Config, "config")
+	if a.Loading() {
+		img.Prog = &asm.Program{}
+	}
+	a.In(func(a *ckpt.Archive) {
+		p := img.Prog
+		a.U64(&p.TextBase)
+		a.Bytes(&p.Text)
+		a.U64(&p.DataBase)
+		a.Bytes(&p.Data)
+		a.U64(&p.Entry)
+		ckpt.Map(a, &p.Symbols, 16, func(a *ckpt.Archive, _ string, addr *uint64) { a.U64(addr) })
+	}, "program")
+	a.In(func(a *ckpt.Archive) {
+		ckpt.Slice(a, &img.TraceEvents, traceEventBytes, func(a *ckpt.Archive, ev *trace.Event) {
+			a.U64(&ev.Cycle)
+			a.Int(&ev.Hart)
+			a.Int(&ev.Type)
+			a.U64(&ev.Value)
+		})
+	}, "trace events")
+	a.U64(&img.TraceLast)
+	a.Bytes(&img.State)
+}
+
+// traceEventBytes is one trace.Event in the payload: four 8-byte fields.
+const traceEventBytes = 32
+
+// archiveJSON archives v as a byte string holding its JSON encoding.
+func archiveJSON(a *ckpt.Archive, v any, what string) {
+	var j []byte
+	var err error
+	if !a.Loading() {
+		j, err = json.Marshal(v)
+	}
+	if a.Bytes(&j); a.Loading() && a.Err() == nil {
+		err = json.Unmarshal(j, v)
+	}
+	if err != nil {
+		a.Failf("%s JSON: %w", what, err)
+	}
+}
+
 // Save serializes the stopped system (plus run identity and the tracer's
 // event prefix) to path. tw may be nil when the run traces nothing.
 func Save(path string, meta Meta, prog *asm.Program, sys *core.System, tw *trace.Writer) error {
-	var pw ckpt.Writer
-	pw.String(meta.Kernel)
-	pj, err := json.Marshal(meta.Params)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding params: %w", err)
-	}
-	pw.Bytes64(pj)
-	cj, err := json.Marshal(meta.Config)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding config: %w", err)
-	}
-	pw.Bytes64(cj)
-
-	writeProgram(&pw, prog)
-
-	var events []trace.Event
-	var last uint64
+	img := Image{Meta: meta, Prog: prog}
 	if tw != nil {
-		events = tw.Events()
-		last = tw.Last()
+		img.TraceEvents, img.TraceLast = tw.Events(), tw.Last()
 	}
-	pw.U64(uint64(len(events)))
-	for _, ev := range events {
-		pw.U64(ev.Cycle)
-		pw.Int(ev.Hart)
-		pw.Int(ev.Type)
-		pw.U64(ev.Value)
-	}
-	pw.U64(last)
-
-	var sw ckpt.Writer
+	var sw, pw ckpt.Writer
 	if err := sys.CheckpointState(&sw); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	pw.Bytes64(sw.Bytes())
+	img.State = sw.Bytes()
+	if err := ckpt.Saving(&pw).Do(img.archive); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 
 	payload := pw.Bytes()
 	buf := make([]byte, 0, len(Magic)+12+len(payload)+sha256.Size)
@@ -158,9 +186,6 @@ func Load(path string) (*Image, error) {
 	return Decode(raw)
 }
 
-// traceEventBytes is one trace.Event in the payload: four 8-byte fields.
-const traceEventBytes = 32
-
 // Decode parses checkpoint file bytes (the testable core of Load).
 func Decode(raw []byte) (*Image, error) {
 	head := len(Magic) + 12
@@ -184,51 +209,11 @@ func Decode(raw []byte) (*Image, error) {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch (corrupt file)")
 	}
 
+	// A valid checksum does not vouch for the writer: every length in the
+	// payload is still bounded by the bytes left before it is believed.
 	r := ckpt.NewReader(raw[head : head+int(plen)])
 	img := &Image{}
-	img.Meta.Kernel = r.String()
-	pj := r.Bytes64()
-	cj := r.Bytes64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := json.Unmarshal(pj, &img.Meta.Params); err != nil {
-		return nil, fmt.Errorf("checkpoint: decoding params: %w", err)
-	}
-	if err := json.Unmarshal(cj, &img.Meta.Config); err != nil {
-		return nil, fmt.Errorf("checkpoint: decoding config: %w", err)
-	}
-
-	prog, err := readProgram(r)
-	if err != nil {
-		return nil, err
-	}
-	img.Prog = prog
-
-	nEv := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	// A valid checksum does not vouch for the writer: refuse a count the
-	// rest of the payload could not hold before allocating by it.
-	if nEv > uint64(r.Remaining()/traceEventBytes) {
-		return nil, fmt.Errorf("checkpoint: trace claims %d events of %d bytes with %d bytes left", nEv, traceEventBytes, r.Remaining())
-	}
-	img.TraceEvents = make([]trace.Event, 0, nEv)
-	for i := uint64(0); i < nEv; i++ {
-		var ev trace.Event
-		ev.Cycle = r.U64()
-		ev.Hart = r.Int()
-		ev.Type = r.Int()
-		ev.Value = r.U64()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		img.TraceEvents = append(img.TraceEvents, ev)
-	}
-	img.TraceLast = r.U64()
-	img.State = r.Bytes64()
-	if err := r.Err(); err != nil {
+	if err := ckpt.Loading(r).Do(img.archive); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if r.Remaining() != 0 {
@@ -255,45 +240,4 @@ func (img *Image) Restore(tw *trace.Writer) (*core.System, error) {
 		sys.Tracer = tw
 	}
 	return sys, nil
-}
-
-func writeProgram(w *ckpt.Writer, p *asm.Program) {
-	w.U64(p.TextBase)
-	w.Bytes64(p.Text)
-	w.U64(p.DataBase)
-	w.Bytes64(p.Data)
-	w.U64(p.Entry)
-	syms := make([]string, 0, len(p.Symbols))
-	//coyote:mapiter-ok keys are sorted immediately below, erasing visit order
-	for name := range p.Symbols {
-		syms = append(syms, name)
-	}
-	sort.Strings(syms)
-	w.U64(uint64(len(syms)))
-	for _, name := range syms {
-		w.String(name)
-		w.U64(p.Symbols[name])
-	}
-}
-
-func readProgram(r *ckpt.Reader) (*asm.Program, error) {
-	p := &asm.Program{Symbols: map[string]uint64{}}
-	p.TextBase = r.U64()
-	p.Text = r.Bytes64()
-	p.DataBase = r.U64()
-	p.Data = r.Bytes64()
-	p.Entry = r.U64()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: program: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		name := r.String()
-		v := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("checkpoint: program: %w", err)
-		}
-		p.Symbols[name] = v
-	}
-	return p, nil
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,12 +22,13 @@ import (
 
 // saveMidRun runs a kernel to a mid-point cycle and checkpoints it,
 // returning the file path.
-func saveMidRun(t *testing.T) string {
-	t.Helper()
-	const kernel = "axpy-scalar"
-	p := kernels.Params{N: 64, Cores: 2}
-	cfg := core.DefaultConfig(2)
+func saveMidRun(t testing.TB) string {
+	return saveRun(t, "axpy-scalar", kernels.Params{N: 64, Cores: 2}, core.DefaultConfig(2), 500)
+}
 
+// saveRun runs kernel to cycle stopAt, traced, and checkpoints it there.
+func saveRun(t testing.TB, kernel string, p kernels.Params, cfg core.Config, stopAt uint64) string {
+	t.Helper()
 	k, err := kernels.Get(kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +45,10 @@ func saveMidRun(t *testing.T) string {
 	k.Setup(sys.Mem, sys.MustSymbol("args"), p)
 	tw := trace.NewWriter(cfg.Cores)
 	sys.Tracer = tw
-	if _, stopped, err := sys.RunTo(500); err != nil {
+	if _, stopped, err := sys.RunTo(stopAt); err != nil {
 		t.Fatal(err)
 	} else if !stopped {
-		t.Fatal("kernel finished before cycle 500; pick a longer run")
+		t.Fatalf("kernel finished before cycle %d; pick a longer run", stopAt)
 	}
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
 	meta := Meta{Kernel: kernel, Params: p, Config: cfg}
@@ -129,54 +131,174 @@ func TestCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestHostileLengthRejected hands the loader a file whose checksum is
-// valid but whose uncore section claims 2^40 waiting requests. Integrity
-// checks cannot catch that — the writer may simply be hostile — so the
-// reader must: an error, and no allocation sized by the claim.
-func TestHostileLengthRejected(t *testing.T) {
-	raw, err := os.ReadFile(saveMidRun(t))
-	if err != nil {
+// sectionWalk steps over a machine-state section the way a forger who
+// knows the layout would, to find where its counts sit.
+type sectionWalk struct {
+	b   []byte
+	off int
+}
+
+func (w *sectionWalk) skip(n int) { w.off += n }
+
+func (w *sectionWalk) count() int {
+	w.off += 8
+	return int(binary.LittleEndian.Uint64(w.b[w.off-8:]))
+}
+
+// tags steps over a cache section: clock and four counters, then 18 bytes
+// a line behind the line count.
+func (w *sectionWalk) tags() {
+	w.skip(40)
+	w.skip(18 * w.count())
+}
+
+// stateCounts holds the offsets in a machine state of counts a hostile
+// writer could forge, -1 where the machine had no such entry in flight:
+// the first bank MSHR entry's waiter count, the first LLC MSHR entry's, the
+// first MCPU slot's line count, the late waiting list's count and the
+// calendar's record count.
+type stateCounts struct {
+	bankWaiters, llcWaiters, mcpuLines, lateList, calendar int
+}
+
+// locateCounts finds the engine and uncore sections of state by
+// re-serializing them from the restored sys (restore → re-checkpoint is
+// byte-identical) and walks the uncore's, checking that the walk ends where
+// the section does.
+func locateCounts(t *testing.T, state []byte, sys *core.System) stateCounts {
+	t.Helper()
+	var ew, uw ckpt.Writer
+	if err := sys.Eng.Checkpoint(&ew); err != nil {
 		t.Fatal(err)
 	}
-	img, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := img.Restore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The machine state is the payload's last field and the waiting-list
-	// count the uncore section's: find the section inside the state by
-	// re-serializing it (restore → re-checkpoint is byte-identical).
-	var uw ckpt.Writer
 	if err := sys.Uncore.Checkpoint(&uw); err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(img.State, uw.Bytes())
-	if at < 0 || sys.Uncore.Waiting() != 0 {
-		t.Fatalf("cannot locate the waiting-list count (section at %d, %d waiting)", at, sys.Uncore.Waiting())
+	// The engine section sits right in front of the uncore's.
+	at := bytes.Index(state, slices.Concat(ew.Bytes(), uw.Bytes()))
+	if at < 0 {
+		t.Fatal("cannot locate the engine and uncore sections")
 	}
-	payloadEnd := len(raw) - sha256.Size
-	count := payloadEnd - len(img.State) + at + uw.Len() - 8
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(bad[count:], 1<<40)
-	sum := sha256.Sum256(bad[:payloadEnd])
-	copy(bad[payloadEnd:], sum[:])
+	// Clock, seq, executed and registry size precede the record count.
+	c := stateCounts{bankWaiters: -1, llcWaiters: -1, mcpuLines: -1, calendar: at + 32}
+	first := func(p *int, off int) {
+		if *p < 0 {
+			*p = off
+		}
+	}
+	w := &sectionWalk{b: state, off: at + ew.Len()}
+	for range sys.Uncore.Banks() {
+		w.tags()
+		for n := w.count(); n > 0; n-- {
+			w.skip(9) // line address, state
+			first(&c.bankWaiters, w.off)
+			w.skip(12 * w.count())
+		}
+		for port := 0; port < 2; port++ {
+			w.skip(29 * w.count())
+			w.skip(8) // sent
+		}
+		w.skip(56)
+	}
+	for range sys.Uncore.LLCs() {
+		w.tags()
+		for n := w.count(); n > 0; n-- {
+			w.skip(8) // line address
+			first(&c.llcWaiters, w.off)
+			w.skip(20 * w.count())
+		}
+		w.skip(24)
+	}
+	for range sys.Uncore.MemCtrls() {
+		w.skip(8)
+		w.skip(9 * w.count())
+		w.skip(40)
+	}
+	for n := w.count(); n > 0; n-- {
+		w.skip(22) // active, write, remaining, completion
+		first(&c.mcpuLines, w.off)
+		w.skip(8 * w.count())
+	}
+	w.skip(4 * w.count()) // free list
+	w.skip(32 + 16)       // MCPU counters, NoC counters
+	w.skip(46 * w.count())
+	c.lateList = w.off
+	w.skip(46 * w.count())
+	if end := at + ew.Len() + uw.Len(); w.off != end {
+		t.Fatalf("uncore section walk ended at %d, the section at %d", w.off, end)
+	}
+	return c
+}
 
-	hostile, err := Decode(bad)
-	if err != nil {
-		t.Fatalf("the checksum was recomputed, Decode must accept the file: %v", err)
+// TestHostileLengthRejected hands the loader files whose checksum is valid
+// but whose machine state claims 2^40 of something. Integrity checks
+// cannot catch that — the writer may simply be hostile — so the reader
+// must: an error, and no allocation sized by the claim. Every count goes
+// through ckpt.Slice or ckpt.Map, which refuse one the bytes left could
+// not hold. Before that was the only way to read a length, the waiter
+// counts of bank and LLC MSHR entries were looped on unchecked: the
+// bank-waiters case did not fail there, it exhausted the host's memory.
+func TestHostileLengthRejected(t *testing.T) {
+	// A gather kernel behind an LLC with MCPU offload, stopped with an MSHR
+	// entry in a bank, one in an LLC slice and a used MCPU slot.
+	gather := core.DefaultConfig(2)
+	gather.Hart.MCPUOffload = true
+	gather.Uncore.LLCEnable = true
+	gatherRun := func(t *testing.T) string {
+		return saveRun(t, "spmv-vector-gather", kernels.Params{N: 64, Cores: 2, Density: 0.05}, gather, 800)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = hostile.Restore(nil)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "waiting list") {
-		t.Fatalf("hostile waiting-list length: got %v, want a waiting-list error", err)
+	cases := []struct {
+		name    string
+		save    func(*testing.T) string
+		count   func(stateCounts) int
+		wantErr string
+	}{
+		{"waiting list", func(t *testing.T) string { return saveMidRun(t) }, func(c stateCounts) int { return c.lateList }, "waiting list"},
+		{"bank MSHR waiters", gatherRun, func(c stateCounts) int { return c.bankWaiters }, "uncore: bank"},
+		{"LLC MSHR waiters", gatherRun, func(c stateCounts) int { return c.llcWaiters }, "uncore: llc"},
+		{"MCPU lines", gatherRun, func(c stateCounts) int { return c.mcpuLines }, "uncore: mcpu"},
+		{"calendar records", gatherRun, func(c stateCounts) int { return c.calendar }, "claims"},
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
-		t.Errorf("restore allocated %d MB before refusing the length", grew>>20)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := os.ReadFile(tc.save(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := img.Restore(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := tc.count(locateCounts(t, img.State, sys))
+			if count < 0 {
+				t.Fatal("test premise broken: the machine was stopped with no such entry in flight")
+			}
+			// The machine state is the payload's last field.
+			payloadEnd := len(raw) - sha256.Size
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint64(bad[payloadEnd-len(img.State)+count:], 1<<40)
+			sum := sha256.Sum256(bad[:payloadEnd])
+			copy(bad[payloadEnd:], sum[:])
+
+			hostile, err := Decode(bad)
+			if err != nil {
+				t.Fatalf("the checksum was recomputed, Decode must accept the file: %v", err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = hostile.Restore(nil)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("hostile length: got %v, want an error naming %q", err, tc.wantErr)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
+				t.Errorf("restore allocated %d MB before refusing the length", grew>>20)
+			}
+		})
 	}
 }
 
@@ -203,7 +325,7 @@ func TestHostileTraceCountRejected(t *testing.T) {
 	binary.LittleEndian.PutUint64(bad[count:], 1<<40)
 	sum := sha256.Sum256(bad[:payloadEnd])
 	copy(bad[payloadEnd:], sum[:])
-	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "trace claims") {
+	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "trace events") || !strings.Contains(err.Error(), "claims") {
 		t.Fatalf("hostile trace-event count: got %v, want a trace-count error", err)
 	}
 }

@@ -8,54 +8,54 @@ import (
 	"github.com/coyote-sim/coyote/internal/san"
 )
 
-// CheckpointState serializes the complete machine at an inter-cycle
-// boundary: orchestrator scheduling state, functional memory, the event
-// calendar, the uncore's in-flight transactions, every hart and the
-// shared reservation set. The caller must have stopped the run with
-// RunTo — at that boundary speculation is disarmed, every hart's event
-// buffer is drained and the calendar holds only future events, which the
-// per-component serializers verify.
+// archive is the machine's layout in a checkpoint: orchestrator
+// scheduling state, functional memory, the event calendar, the uncore's
+// in-flight transactions, every hart and the shared reservation set.
 //
-// Trace events are NOT serialized here: the Tracer is harness-owned, and
-// the harness (package coyote) snapshots its writer alongside this state.
+// Trace events are NOT part of it: the Tracer is harness-owned, and the
+// harness (package coyote) snapshots its writer alongside this state.
+func (s *System) archive(a *ckpt.Archive) {
+	a.U64(&s.cycle)
+	a.Len(len(s.runnable), "runnable words (core count)")
+	for i := range s.runnable {
+		a.U64(&s.runnable[i])
+	}
+	for i := range s.halted {
+		a.Bool(&s.halted[i])
+	}
+	if a.Int(&s.nDone); s.nDone < 0 || s.nDone > len(s.Harts) {
+		a.Failf("core: checkpoint nDone %d out of range", s.nDone)
+	}
+	for i := range s.stallSince {
+		a.U64(&s.stallSince[i])
+	}
+	for i := range s.stallFetch {
+		a.Bool(&s.stallFetch[i])
+	}
+	a.U64(&s.par.stats.SpecQuanta)
+	a.U64(&s.par.stats.Commits)
+	a.U64(&s.par.stats.Conflicts)
+	a.U64(&s.par.stats.Unsafe)
+
+	a.Sub(s.Mem, "core")
+	a.Sub(s.Eng, "core")
+	a.Sub(s.Uncore, "core")
+	for _, h := range s.Harts {
+		a.Sub(h, "core")
+	}
+	a.Sub(s.resv, "core")
+}
+
+// CheckpointState serializes the complete machine at an inter-cycle
+// boundary. The caller must have stopped the run with RunTo — at that
+// boundary speculation is disarmed, every hart's event buffer is drained
+// and the calendar holds only future events, which the per-component
+// serializers verify.
 func (s *System) CheckpointState(w *ckpt.Writer) error {
 	if san.Enabled {
 		s.auditDue() // the image carries no due: no hart may be ahead of the clock
 	}
-	w.U64(s.cycle)
-	w.U64(uint64(len(s.runnable)))
-	for _, word := range s.runnable {
-		w.U64(word)
-	}
-	for _, h := range s.halted {
-		w.Bool(h)
-	}
-	w.Int(s.nDone)
-	for _, c := range s.stallSince {
-		w.U64(c)
-	}
-	for _, f := range s.stallFetch {
-		w.Bool(f)
-	}
-	w.U64(s.par.stats.SpecQuanta)
-	w.U64(s.par.stats.Commits)
-	w.U64(s.par.stats.Conflicts)
-	w.U64(s.par.stats.Unsafe)
-
-	s.Mem.Checkpoint(w)
-	if err := s.Eng.Checkpoint(w); err != nil {
-		return err
-	}
-	if err := s.Uncore.Checkpoint(w); err != nil {
-		return err
-	}
-	for _, h := range s.Harts {
-		if err := h.Checkpoint(w); err != nil {
-			return err
-		}
-	}
-	s.resv.Checkpoint(w)
-	return nil
+	return ckpt.Saving(w).Do(s.archive)
 }
 
 // RestoreState reloads a CheckpointState image into a freshly constructed
@@ -67,58 +67,10 @@ func (s *System) RestoreState(r *ckpt.Reader) error {
 	if s.prog == nil {
 		return fmt.Errorf("core: restore before LoadProgram")
 	}
-	cycle := r.U64()
-	nWords := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nWords != uint64(len(s.runnable)) {
-		return fmt.Errorf("core: checkpoint has %d runnable words, this system has %d (core count mismatch)", nWords, len(s.runnable))
-	}
-	s.cycle = cycle
-	for i := range s.runnable {
-		s.runnable[i] = r.U64()
-	}
-	for i := range s.halted {
-		s.halted[i] = r.Bool()
-	}
-	nDone := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nDone < 0 || nDone > len(s.Harts) {
-		return fmt.Errorf("core: checkpoint nDone %d out of range", nDone)
-	}
-	s.nDone = nDone
-	for i := range s.stallSince {
-		s.stallSince[i] = r.U64()
-	}
-	for i := range s.stallFetch {
-		s.stallFetch[i] = r.Bool()
-	}
-	s.par.stats.SpecQuanta = r.U64()
-	s.par.stats.Commits = r.U64()
-	s.par.stats.Conflicts = r.U64()
-	s.par.stats.Unsafe = r.U64()
-
-	if err := s.Mem.Restore(r); err != nil {
+	if err := ckpt.Loading(r).Do(s.archive); err != nil {
 		return err
 	}
 	s.decodeText() // the restored text may have been patched (store + fence.i) before the checkpoint
-	if err := s.Eng.Restore(r); err != nil {
-		return err
-	}
-	if err := s.Uncore.Restore(r); err != nil {
-		return err
-	}
-	for _, h := range s.Harts {
-		if err := h.Restore(r); err != nil {
-			return err
-		}
-	}
-	if err := s.resv.Restore(r); err != nil {
-		return err
-	}
 
 	if s.cycle > 0 && s.Eng.Now() != s.cycle-1 {
 		return fmt.Errorf("core: checkpoint clock skew: orchestrator at cycle %d, engine at %d", s.cycle, s.Eng.Now())

@@ -41,113 +41,99 @@ type eventRecord struct {
 	arg  uint64
 }
 
-// Checkpoint writes the engine's clock and pending calendar to w.
-func (e *Engine) Checkpoint(w *ckpt.Writer) error {
+// eventRecordBytes is one eventRecord in an image: when, seq, handle, arg.
+const eventRecordBytes = 28
+
+func archiveRecord(a *ckpt.Archive, rec *eventRecord) {
+	a.U64(&rec.when)
+	a.U64(&rec.seq)
+	a.U32((*uint32)(&rec.h))
+	a.U64(&rec.arg)
+}
+
+// archive is the engine's layout in a checkpoint: clock, seq and executed
+// counters, the registry size (a structural check: handles only mean the
+// same callbacks in an engine built from the same Config), then the
+// pending events sorted by (when, seq).
+func (e *Engine) archive(a *ckpt.Archive) {
+	var records []eventRecord
+	if !a.Loading() {
+		records = e.pendingRecords(a)
+	}
+	a.U64(&e.now)
+	a.U64(&e.seq)
+	a.U64(&e.executed)
+	a.Len(len(e.fns), "registered callbacks")
+	ckpt.Slice(a, &records, eventRecordBytes, archiveRecord)
+	if a.Loading() {
+		e.base = e.now
+		e.ringMinValid = false
+		e.insertRecords(a, records)
+	}
+}
+
+// pendingRecords collects the calendar in (when, seq) order.
+func (e *Engine) pendingRecords(a *ckpt.Archive) []eventRecord {
 	records := make([]eventRecord, 0, e.pending)
-	collect := func(ev *event) error {
-		if ev.h == 0 {
-			return fmt.Errorf("evsim: pending event at cycle %d has no registered handle (scheduled via a plain closure?)", ev.when)
+	collect := func(evs []event) {
+		for i := range evs {
+			ev := &evs[i]
+			if ev.h == 0 {
+				a.Failf("evsim: pending event at cycle %d has no registered handle (scheduled via a plain closure?)", ev.when)
+			}
+			records = append(records, eventRecord{when: ev.when, seq: ev.seq, h: ev.h, arg: ev.arg})
 		}
-		records = append(records, eventRecord{when: ev.when, seq: ev.seq, h: ev.h, arg: ev.arg})
-		return nil
 	}
 	for slot := range e.bucket {
-		for i := range e.bucket[slot] {
-			if err := collect(&e.bucket[slot][i]); err != nil {
-				return err
-			}
-		}
+		collect(e.bucket[slot])
 	}
-	for i := range e.overflow {
-		if err := collect(&e.overflow[i]); err != nil {
-			return err
-		}
-	}
+	collect(e.overflow)
 	sort.Slice(records, func(i, j int) bool {
 		if records[i].when != records[j].when {
 			return records[i].when < records[j].when
 		}
 		return records[i].seq < records[j].seq
 	})
-
-	w.U64(e.now)
-	w.U64(e.seq)
-	w.U64(e.executed)
-	w.U64(uint64(len(e.fns))) // registry size: structural integrity check
-	w.U64(uint64(len(records)))
-	for _, rec := range records {
-		w.U64(rec.when)
-		w.U64(rec.seq)
-		w.U32(uint32(rec.h))
-		w.U64(rec.arg)
-	}
-	return nil
+	return records
 }
+
+// insertRecords checks each loaded record and schedules it under its
+// original seq, through the registry.
+func (e *Engine) insertRecords(a *ckpt.Archive, records []eventRecord) {
+	seq := e.seq
+	for i, rec := range records {
+		switch {
+		case a.Err() != nil:
+		case rec.h == 0 || int(rec.h) > len(e.fns):
+			a.Failf("evsim: checkpoint event %d has invalid handle %d", i, rec.h)
+		case rec.when < e.now:
+			a.Failf("evsim: checkpoint event at cycle %d precedes the checkpoint clock %d", rec.when, e.now)
+		case rec.seq > seq:
+			a.Failf("evsim: checkpoint event seq %d exceeds the engine seq counter %d", rec.seq, seq)
+		case i > 0 && (rec.when < records[i-1].when || (rec.when == records[i-1].when && rec.seq <= records[i-1].seq)):
+			// Sorted by (when, seq), appends within one bucket preserve seq
+			// order — the invariant runBucket relies on.
+			a.Failf("evsim: checkpoint events out of (when, seq) order at record %d", i)
+		}
+		if a.Err() != nil {
+			break
+		}
+		e.seq = rec.seq - 1 // enqueue numbers the event e.seq+1
+		e.enqueue(rec.when, event{afn: e.fns[rec.h-1], arg: rec.arg, h: rec.h})
+	}
+	e.seq = seq
+	e.san.Counts(e.now, e.pending, e.inRing, len(e.overflow))
+}
+
+// Checkpoint writes the engine's clock and pending calendar to w.
+func (e *Engine) Checkpoint(w *ckpt.Writer) error { return ckpt.Saving(w).Do(e.archive) }
 
 // Restore reloads clock and calendar from r into a freshly constructed
 // engine whose units (and therefore handle registry) match the
-// checkpointing one. Restored events dispatch through the registry.
+// checkpointing one.
 func (e *Engine) Restore(r *ckpt.Reader) error {
-	now := r.U64()
-	seq := r.U64()
-	executed := r.U64()
-	nFns := r.U64()
-	nRec := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nFns != uint64(len(e.fns)) {
-		return fmt.Errorf("evsim: checkpoint has %d registered callbacks, this engine has %d (config/topology mismatch)", nFns, len(e.fns))
-	}
 	if e.pending != 0 {
 		return fmt.Errorf("evsim: restore into an engine with %d pending events", e.pending)
 	}
-
-	e.now = now
-	e.base = now
-	e.seq = seq
-	e.executed = executed
-	e.ringMinValid = false
-
-	var lastWhen, lastSeq uint64
-	for i := uint64(0); i < nRec; i++ {
-		when := r.U64()
-		evSeq := r.U64()
-		h := Handle(r.U32())
-		arg := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if h == 0 || uint64(h) > nFns {
-			return fmt.Errorf("evsim: checkpoint event %d has invalid handle %d", i, h)
-		}
-		if when < now {
-			return fmt.Errorf("evsim: checkpoint event at cycle %d precedes the checkpoint clock %d", when, now)
-		}
-		if evSeq > seq {
-			return fmt.Errorf("evsim: checkpoint event seq %d exceeds the engine seq counter %d", evSeq, seq)
-		}
-		if i > 0 && (when < lastWhen || (when == lastWhen && evSeq <= lastSeq)) {
-			return fmt.Errorf("evsim: checkpoint events out of (when, seq) order at record %d", i)
-		}
-		lastWhen, lastSeq = when, evSeq
-
-		ev := event{when: when, seq: evSeq, afn: e.fns[h-1], arg: arg, h: h}
-		e.san.Schedule(e.now, when)
-		e.pending++
-		if when < e.base+bucketWindow {
-			// Records arrive sorted by (when, seq), so appends within one
-			// bucket preserve seq order — the invariant runBucket relies on.
-			e.san.RingSlot(e.base, when, bucketWindow)
-			slot := int(when) & bucketMask
-			e.bucket[slot] = append(e.bucket[slot], ev)
-			e.occ[slot>>6] |= 1 << uint(slot&63)
-			e.inRing++
-		} else {
-			e.san.OverflowPush(e.base, when, bucketWindow)
-			e.heapPush(ev)
-		}
-	}
-	e.san.Counts(e.now, e.pending, e.inRing, len(e.overflow))
-	return nil
+	return ckpt.Loading(r).Do(e.archive)
 }

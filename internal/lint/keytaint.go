@@ -14,8 +14,8 @@ import (
 
 // KeyTaintAnalyzer is the static proof behind the result cache's key
 // exclusions (DESIGN.md §11, §12). The cache key deliberately omits the
-// execution-strategy fields — Workers, InterleaveQuantum,
-// Hart.DisableBlockCache, CheckpointAt — on the strength of a
+// execution-strategy fields — Workers, Hart.DisableBlockCache,
+// CheckpointAt — on the strength of a
 // determinism argument: they cannot influence committed results. This
 // analyzer turns that argument into an interprocedural dataflow check:
 //
@@ -53,7 +53,6 @@ var KeyTaintAnalyzer = &Analyzer{
 // seeded-mutation tests on a package subset).
 var keyExcludedFields = []string{
 	"Workers",
-	"InterleaveQuantum",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }

@@ -6,13 +6,12 @@
 // and skips the encoder cross-check.
 package keytaintfix
 
-// Config mirrors core.Config: the four key-excluded execution-strategy
+// Config mirrors core.Config: the three key-excluded execution-strategy
 // fields are taint sources; everything else is key-included and clean.
 type Config struct {
 	Cores             int
 	MaxCycles         uint64
 	Workers           int
-	InterleaveQuantum int
 	CheckpointAt      uint64
 	DisableBlockCache bool
 }
@@ -50,13 +49,13 @@ func DirectFlow(cfg Config, r *Result) {
 	r.Par = cfg.Workers // audit fields legitimately vary: clean
 }
 
-// quantum launders the source through a helper return value.
-func quantum(cfg *Config) int { return cfg.InterleaveQuantum }
+// workers launders the source through a helper return value.
+func workers(cfg *Config) int { return cfg.Workers }
 
 // InterprocFlow proves the flow survives a call boundary and a local.
 func InterprocFlow(cfg *Config, s *System) {
-	q := quantum(cfg)
-	s.stats.Retired += uint64(q) // want `Config\.InterleaveQuantum .*flows into stats counter Stats\.Retired`
+	w := workers(cfg)
+	s.stats.Retired += uint64(w) // want `Config\.Workers .*flows into stats counter Stats\.Retired`
 	n := cfg.Cores
 	s.cycle += uint64(n) // included field into the cycle: clean
 }
@@ -71,7 +70,7 @@ func CallSinkFlow(cfg Config, t *Tracer) {
 // conservatism boundary: branch decisions are not tracked, so this is
 // clean by design (the runtime golden matrix covers it instead).
 func ControlOnly(cfg Config, r *Result) {
-	if cfg.InterleaveQuantum > 8 {
+	if cfg.Workers > 8 {
 		r.Cycles++
 	}
 }

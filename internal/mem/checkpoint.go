@@ -1,56 +1,34 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
+import "github.com/coyote-sim/coyote/internal/ckpt"
 
-	"github.com/coyote-sim/coyote/internal/ckpt"
-)
-
-// Checkpoint writes every populated page (sorted by base address so the
-// encoding is canonical) to w. The lookaside is a pure memo and is not
-// serialized.
-func (m *Memory) Checkpoint(w *ckpt.Writer) {
-	bases := make([]uint64, 0, len(m.pages))
-	//coyote:mapiter-ok bases are sorted before serialization; the encoding is order-canonical
-	for base := range m.pages {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	w.U64(uint64(len(bases)))
-	for _, base := range bases {
-		w.U64(base)
-		w.Bytes64(m.pages[base][:])
-	}
+// archive is the memory's layout in a checkpoint: every populated page by
+// increasing base address, each one bulk copy. The lookaside is a pure
+// memo and is not part of it.
+func (m *Memory) archive(a *ckpt.Archive) {
+	ckpt.Map(a, &m.pages, 16+PageSize, func(a *ckpt.Archive, base uint64, p **page) {
+		var data []byte
+		if !a.Loading() {
+			data = (*p)[:]
+		}
+		a.Bytes(&data)
+		switch {
+		case a.Err() != nil:
+		case base&pageMask != 0:
+			a.Failf("mem: checkpoint page base %#x is not page-aligned", base)
+		case len(data) != PageSize:
+			a.Failf("mem: checkpoint page %#x has %d bytes, want %d", base, len(data), PageSize)
+		default:
+			*p = (*page)(data)
+		}
+	})
 }
+
+// Checkpoint writes the memory contents to w.
+func (m *Memory) Checkpoint(w *ckpt.Writer) error { return ckpt.Saving(w).Do(m.archive) }
 
 // Restore replaces the memory contents with the checkpointed pages.
 func (m *Memory) Restore(r *ckpt.Reader) error {
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	m.Reset()
-	var last uint64
-	for i := uint64(0); i < n; i++ {
-		base := r.U64()
-		data := r.Bytes64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if base&pageMask != 0 {
-			return fmt.Errorf("mem: checkpoint page base %#x is not page-aligned", base)
-		}
-		if i > 0 && base <= last {
-			return fmt.Errorf("mem: checkpoint pages out of order at base %#x", base)
-		}
-		if len(data) != PageSize {
-			return fmt.Errorf("mem: checkpoint page %#x has %d bytes, want %d", base, len(data), PageSize)
-		}
-		last = base
-		p := new(page)
-		copy(p[:], data)
-		m.pages[base] = p
-	}
-	return nil
+	m.look = [lookasideSize]lookEntry{}
+	return ckpt.Loading(r).Do(m.archive)
 }

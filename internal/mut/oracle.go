@@ -27,7 +27,7 @@ var OracleNames = []string{"build", "vet", "lint", "tests", "golden", "san"}
 // goldenTests is the -run regex of the root package's golden determinism
 // suite: the bit-identical trace/result/cache-key/checkpoint goldens that
 // PR 1-6 established as the repo's ground truth.
-const goldenTests = "^(TestTraceDeterminismGolden|TestDeterminismGolden|TestWorkersDeterminismGolden|TestCacheKeyGolden|TestCheckpointGolden)$"
+const goldenTests = "^(TestTraceDeterminismGolden|TestDeterminismGolden|TestWorkersDeterminismGolden|TestCacheKeyGolden|TestCheckpointGolden|TestCheckpointLayoutGolden)$"
 
 // Oracles drives the cascade for one Engine. The expensive shared state —
 // the lint suite's whole-program loader — is resolved once and reused for

@@ -33,8 +33,8 @@ var keyMutators = []keyMutator{
 	{"Mapping", false, func(c *core.Config, p *kernels.Params) { c.Uncore.Mapping ^= 1 }},
 	{"PrefetchDepth", false, func(c *core.Config, p *kernels.Params) { c.Uncore.PrefetchDepth += 2 }},
 	{"MCPUOffload", false, func(c *core.Config, p *kernels.Params) { c.Hart.MCPUOffload = !c.Hart.MCPUOffload }},
+	{"InterleaveQuantum", false, func(c *core.Config, p *kernels.Params) { c.InterleaveQuantum += 7 }},
 	{"Workers", true, func(c *core.Config, p *kernels.Params) { c.Workers += 3 }},
-	{"InterleaveQuantum", true, func(c *core.Config, p *kernels.Params) { c.InterleaveQuantum += 7 }},
 	{"CheckpointAt", true, func(c *core.Config, p *kernels.Params) { c.CheckpointAt += 1000 }},
 	{"DisableBlockCache", true, func(c *core.Config, p *kernels.Params) { c.Hart.DisableBlockCache = !c.Hart.DisableBlockCache }},
 }
@@ -50,9 +50,9 @@ var keyMutators = []keyMutator{
 func FuzzCacheRoundTrip(f *testing.F) {
 	f.Add(byte(0), byte(0), int64(1), uint16(0))
 	f.Add(byte(1), byte(3), int64(42), uint16(77))
-	f.Add(byte(2), byte(14), int64(7), uint16(300))  // MCPUOffload mutator
+	f.Add(byte(2), byte(14), int64(7), uint16(300))  // InterleaveQuantum: hashed since schema 4
 	f.Add(byte(3), byte(15), int64(9), uint16(512))  // Workers: exec-strategy
-	f.Add(byte(4), byte(18), int64(11), uint16(40))  // DisableBlockCache: exec-strategy
+	f.Add(byte(4), byte(17), int64(11), uint16(40))  // DisableBlockCache: exec-strategy
 	f.Add(byte(5), byte(9), int64(-3), uint16(8191)) // LLC flip, deep flip offset
 	f.Fuzz(func(t *testing.T, kSel, mutSel byte, seed int64, flip uint16) {
 		names := kernels.Names()

@@ -2,8 +2,9 @@
 // simulation results plus request coalescing for the sweep engine.
 //
 // The determinism the simulator enforces in CI — bit-identical committed
-// state for any worker count and any interleave quantum (the golden
-// matrix of golden_workers_test.go) — is what makes caching *sound*:
+// state for any worker count and either engine at each interleave quantum
+// (the golden matrix of golden_workers_test.go) — is what makes caching
+// *sound*:
 // an identical canonical key implies an identical Result, so serving a
 // repeat design point from the cache is indistinguishable from
 // re-simulating it. A canonical key is the SHA-256 of a versioned,
@@ -18,12 +19,14 @@
 // results:
 //
 //   - Config.Workers            — golden matrix Workers ∈ {1,2,3,NumCPU}
-//   - Config.InterleaveQuantum  — TestWorkersInterleaveMatrix {1,2,8,64}
 //   - Hart.DisableBlockCache    — reference engine diffed bit-exact
 //   - Config.CheckpointAt       — checkpoint golden suite proves stop-at-C
 //   - restore + run-to-end is bit-identical to an uninterrupted run
 //
-// Everything else in Config is semantics-affecting and hashed. Whenever
+// Everything else in Config is semantics-affecting and hashed —
+// InterleaveQuantum included: the golden matrix compares engines at each
+// quantum, never across, and a larger quantum is a different (coarser)
+// timing model with different cycle counts. Whenever
 // a change lands that alters simulated results for an unchanged key
 // (new Config field, kernel source edit is covered by the program hash,
 // timing-model fix, stats change), SchemaVersion MUST be bumped — the
@@ -59,7 +62,12 @@ import (
 // any configuration with a DRAM and LLC latency of two cycles or more —
 // and can differ below that (DESIGN.md §6), so entries written by the
 // polling model must not be served.
-const SchemaVersion = 3
+//
+// 4: Config.InterleaveQuantum is hashed. Up to 3 it was excluded as an
+// execution-strategy field, so a run at quantum 8 was served the cycle
+// count cached at quantum 1 (matmul-scalar, 8 cores, N 48: 166 748
+// against 65 865).
+const SchemaVersion = 4
 
 // ExcludedConfigFields is the authoritative list of execution-strategy
 // Config fields deliberately omitted from the canonical key, as dotted
@@ -72,7 +80,6 @@ const SchemaVersion = 3
 // SchemaVersion and regenerate testdata/rcache/keys.golden.
 var ExcludedConfigFields = []string{
 	"Workers",
-	"InterleaveQuantum",
 	"Hart.DisableBlockCache",
 	"CheckpointAt",
 }
@@ -127,8 +134,9 @@ func CanonicalBytes(kernel string, progHash [sha256.Size]byte, p kernels.Params,
 	e.u64("cfg.maxcycles", cfg.MaxCycles)
 	e.u64("cfg.stacktop", cfg.StackTop)
 	e.u64("cfg.stacksize", cfg.StackSize)
+	e.i64("cfg.interleavequantum", int64(cfg.InterleaveQuantum))
 	// Excluded execution-strategy fields (see package comment):
-	// InterleaveQuantum, Workers, CheckpointAt.
+	// Workers, CheckpointAt.
 
 	h := cfg.Hart
 	e.u64("hart.vlenbits", uint64(h.VLenBits))

@@ -27,7 +27,6 @@ func TestKeyExcludesExecutionStrategy(t *testing.T) {
 
 	muts := map[string]func(*core.Config){
 		"Workers":           func(c *core.Config) { c.Workers = 7 },
-		"InterleaveQuantum": func(c *core.Config) { c.InterleaveQuantum = 64 },
 		"DisableBlockCache": func(c *core.Config) { c.Hart.DisableBlockCache = true },
 		"CheckpointAt":      func(c *core.Config) { c.CheckpointAt = 5000 },
 	}
@@ -71,6 +70,7 @@ func TestKeySensitivity(t *testing.T) {
 		{"StackSize", "axpy-scalar", p, func(c *core.Config) { c.StackSize = 128 << 10 }},
 		{"PrefetchDepth", "axpy-scalar", p, func(c *core.Config) { c.Uncore.PrefetchDepth = 4 }},
 		{"MemRowBits", "axpy-scalar", p, func(c *core.Config) { c.Uncore.MemRowBits = 13 }},
+		{"InterleaveQuantum", "axpy-scalar", p, func(c *core.Config) { c.InterleaveQuantum = 64 }},
 	}
 	seen := map[Key]string{want: "base"}
 	for _, v := range variants {

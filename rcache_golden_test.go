@@ -148,3 +148,48 @@ func TestCacheKeyFieldGuard(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleaveQuantumIsKeyed: up to cache schema 3 InterleaveQuantum was
+// excluded from the key as an execution-strategy field, on the strength of
+// a golden matrix that compares engines at each quantum and never across
+// quanta. A larger quantum is a coarser timing model with its own cycle
+// count, so a run at quantum 8 must not be served quantum 1's result.
+func TestInterleaveQuantumIsKeyed(t *testing.T) {
+	p := Params{N: 48, Cores: 8}
+	q1, q8 := DefaultConfig(8), DefaultConfig(8)
+	q8.InterleaveQuantum = 8
+	k1, err := KeyForPoint("matmul-scalar", p, q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k8, err := KeyForPoint("matmul-scalar", p, q8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 == k8 {
+		t.Fatal("interleave quantum 1 and 8 share a cache key")
+	}
+
+	cache := NewResultCache(0)
+	first, status, err := RunKernelCached("matmul-scalar", p, q1, cache)
+	if err != nil || status != CacheMiss {
+		t.Fatalf("quantum 1 into an empty cache: status %v, err %v", status, err)
+	}
+	got, status, err := RunKernelCached("matmul-scalar", p, q8, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != CacheMiss {
+		t.Errorf("quantum 8 after quantum 1: status %v, want a miss", status)
+	}
+	want, err := RunKernel("matmul-scalar", p, q8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles {
+		t.Errorf("cached run at quantum 8 reports %d cycles, uncached %d", got.Cycles, want.Cycles)
+	}
+	if first.Cycles == want.Cycles {
+		t.Fatalf("test premise broken: quantum 1 and 8 both take %d cycles", want.Cycles)
+	}
+}
