@@ -111,10 +111,13 @@ sample:
 # testdata/fuzz/. Any invariant violation becomes a reproducible crasher.
 # Then restore patched machine states for FUZZTIME: no panic, hang or
 # allocation sized by the image (default build — the sanitizer's job is to
-# panic on an inconsistent machine, which a patched state is).
+# panic on an inconsistent machine, which a patched state is). Then
+# assemble arbitrary source for FUZZTIME: an error or a program whose text
+# decodes, never a panic, a hang or an image past the assembler's bound.
 fuzz:
 	$(GO) test -tags coyotesan -run '^$$' -fuzz FuzzKernelSan -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRestoreState -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME) ./internal/asm
 
 # Mutation testing (DESIGN.md §13): the full catalog over the simulator
 # packages, adjudicated by the oracle cascade. Exit 1 on any unannotated

@@ -52,6 +52,12 @@ func (p *Program) LoadInto(m *mem.Memory) {
 // Size returns the total image size in bytes.
 func (p *Program) Size() int { return len(p.Text) + len(p.Data) }
 
+// maxImageBytes bounds text plus data. Pass 1 refuses a source that would
+// pass it before pass 2 allocates anything, so a 24-byte ".space
+// 0x100000000" cannot exhaust the host. The largest shipped kernel image is
+// under 4 KiB.
+const maxImageBytes = 256 << 20
+
 type section int
 
 const (
@@ -77,7 +83,8 @@ func AssembleWith(src string, opt Options) (*Program, error) {
 	equs := make(map[string]uint64)
 	sec := secText
 	loc := [2]uint64{opt.TextBase, opt.DataBase}
-	for _, it := range items {
+	for i, it := range items {
+		var n uint64
 		switch {
 		case it.label != "":
 			if _, dup := syms[it.label]; dup {
@@ -85,12 +92,10 @@ func AssembleWith(src string, opt Options) (*Program, error) {
 			}
 			syms[it.label] = loc[sec]
 		case strings.HasPrefix(it.name, "."):
-			n, newSec, err := directiveSize(it, sec, loc[sec], equs)
-			if err != nil {
+			var err error
+			if n, sec, err = directiveSize(it, sec, loc[sec], equs); err != nil {
 				return nil, fmt.Errorf("line %d: %w", it.line, err)
 			}
-			sec = newSec
-			loc[sec] += n
 		default:
 			if sec != secText {
 				return nil, fmt.Errorf("line %d: instruction outside .text", it.line)
@@ -99,8 +104,13 @@ func AssembleWith(src string, opt Options) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", it.line, err)
 			}
-			loc[sec] += uint64(4 * words)
+			n = uint64(4 * words)
 		}
+		if used := loc[secText] - opt.TextBase + loc[secData] - opt.DataBase; n > maxImageBytes-used {
+			return nil, fmt.Errorf("line %d: image would exceed %d MiB", it.line, maxImageBytes>>20)
+		}
+		items[i].size = n
+		loc[sec] += n
 	}
 	for k, v := range equs {
 		if _, clash := syms[k]; clash {
@@ -112,11 +122,14 @@ func AssembleWith(src string, opt Options) (*Program, error) {
 	// Pass 2: emit.
 	p := &Program{
 		TextBase: opt.TextBase,
+		Text:     make([]byte, 0, loc[secText]-opt.TextBase),
 		DataBase: opt.DataBase,
+		Data:     make([]byte, 0, loc[secData]-opt.DataBase),
 		Symbols:  syms,
 	}
 	sec = secText
 	for _, it := range items {
+		before := p.Size()
 		switch {
 		case it.label != "":
 			// defined in pass 1
@@ -135,6 +148,11 @@ func AssembleWith(src string, opt Options) (*Program, error) {
 			for _, w := range words {
 				p.Text = binary.LittleEndian.AppendUint32(p.Text, w)
 			}
+		}
+		// A .set redefined after pass 1 read it (li's length) would move
+		// everything behind this statement off its label.
+		if got := uint64(p.Size() - before); got != it.size {
+			return nil, fmt.Errorf("line %d: %s is %d bytes, was laid out as %d", it.line, it.name, got, it.size)
 		}
 	}
 
@@ -215,11 +233,6 @@ func emitDirective(it item, sec section, p *Program, syms map[string]uint64) (se
 	if sec == secData {
 		buf = &p.Data
 	}
-	base := p.TextBase
-	if sec == secData {
-		base = p.DataBase
-	}
-	loc := base + uint64(len(*buf))
 
 	emitInts := func(width int) error {
 		for _, o := range it.operands {
@@ -242,11 +255,10 @@ func emitDirective(it item, sec section, p *Program, syms map[string]uint64) (se
 	case ".global", ".globl", ".option", ".attribute", ".type", ".size",
 		".p2align", ".equ", ".set":
 		return sec, nil
-	case ".align":
-		n, _ := strconv.Atoi(strings.TrimSpace(it.operands[0]))
-		a := uint64(1) << n
-		pad := (a - loc%a) % a
-		*buf = append(*buf, make([]byte, pad)...)
+	case ".align", ".zero", ".skip", ".space":
+		// Pass 1's size, not a second evaluation: it is the one the image
+		// bound was checked against.
+		*buf = append(*buf, make([]byte, it.size)...)
 		return sec, nil
 	case ".byte":
 		return sec, emitInts(1)
@@ -273,13 +285,6 @@ func emitDirective(it item, sec section, p *Program, syms map[string]uint64) (se
 			}
 			*buf = binary.LittleEndian.AppendUint64(*buf, math.Float64bits(f))
 		}
-		return sec, nil
-	case ".zero", ".skip", ".space":
-		v, err := evalExpr(it.operands[0], syms)
-		if err != nil {
-			return sec, err
-		}
-		*buf = append(*buf, make([]byte, v)...)
 		return sec, nil
 	case ".asciz", ".string":
 		s, err := unquote(strings.Join(it.operands, ","))

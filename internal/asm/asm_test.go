@@ -2,6 +2,7 @@ package asm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"github.com/coyote-sim/coyote/internal/riscv"
@@ -26,12 +27,14 @@ func decodeWord(t *testing.T, p *Program, i int) riscv.Instr {
 	return in
 }
 
-func TestBasicInstructions(t *testing.T) {
-	p, err := Assemble(`
+const basicSrc = `
 		addi a0, zero, 42     # comment
 		add  a1, a0, a0       // another comment
 		sub  t0, a1, a0
-	`)
+	`
+
+func TestBasicInstructions(t *testing.T) {
+	p, err := Assemble(basicSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +48,16 @@ func TestBasicInstructions(t *testing.T) {
 	}
 }
 
-func TestLoadsStores(t *testing.T) {
-	p, err := Assemble(`
+const loadStoreSrc = `
 		ld  a0, 16(sp)
 		sd  a0, -8(s0)
 		lw  t1, 0(a2)
 		flw fa0, 4(a0)
 		fsd fa1, 8(a0)
-	`)
+	`
+
+func TestLoadsStores(t *testing.T) {
+	p, err := Assemble(loadStoreSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +75,7 @@ func TestLoadsStores(t *testing.T) {
 	}
 }
 
-func TestLabelsAndBranches(t *testing.T) {
-	p, err := Assemble(`
+const branchSrc = `
 	loop:
 		addi a0, a0, -1
 		bnez a0, loop
@@ -79,7 +83,10 @@ func TestLabelsAndBranches(t *testing.T) {
 		j    loop
 	done:
 		ret
-	`)
+	`
+
+func TestLabelsAndBranches(t *testing.T) {
+	p, err := Assemble(branchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +188,16 @@ func TestLiProperty(t *testing.T) {
 	}
 }
 
-func TestLaPCRelative(t *testing.T) {
-	p, err := Assemble(`
+const laSrc = `
 		la a0, buf
 		ebreak
 	.data
 	buf:
 		.dword 7
-	`)
+	`
+
+func TestLaPCRelative(t *testing.T) {
+	p, err := Assemble(laSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +216,7 @@ func TestLaPCRelative(t *testing.T) {
 	}
 }
 
-func TestDataDirectives(t *testing.T) {
-	p, err := Assemble(`
+const dataSrc = `
 	.data
 	a:	.byte 1, 2, 3
 	.align 3
@@ -216,7 +224,10 @@ func TestDataDirectives(t *testing.T) {
 	c:	.double 2.5
 	s:	.asciz "hi"
 	z:	.zero 4
-	`)
+	`
+
+func TestDataDirectives(t *testing.T) {
+	p, err := Assemble(dataSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +249,16 @@ func TestDataDirectives(t *testing.T) {
 	}
 }
 
-func TestEquConstants(t *testing.T) {
-	p, err := Assemble(`
+const equSrc = `
 	.equ N, 64
 	.equ DOUBLE_N, N+N
 		li a0, N
 		li a1, DOUBLE_N
 		addi a2, zero, N-60
-	`)
+	`
+
+func TestEquConstants(t *testing.T) {
+	p, err := Assemble(equSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +273,7 @@ func TestEquConstants(t *testing.T) {
 	}
 }
 
-func TestVectorSyntax(t *testing.T) {
-	p, err := Assemble(`
+const vectorSrc = `
 		vsetvli t0, a0, e64, m1, ta, ma
 		vle64.v v1, (a1)
 		vlse64.v v2, (a2), t1
@@ -273,7 +285,10 @@ func TestVectorSyntax(t *testing.T) {
 		vadd.vv v7, v1, v2, v0.t
 		vmv.x.s a5, v4
 		vredsum.vs v8, v1, v2
-	`)
+	`
+
+func TestVectorSyntax(t *testing.T) {
+	p, err := Assemble(vectorSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +323,14 @@ func TestVectorSyntax(t *testing.T) {
 	}
 }
 
-func TestCSRSyntax(t *testing.T) {
-	p, err := Assemble(`
+const csrSrc = `
 		csrr a0, mhartid
 		csrrwi zero, 0x340, 5
 		rdcycle t0
-	`)
+	`
+
+func TestCSRSyntax(t *testing.T) {
+	p, err := Assemble(csrSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +344,14 @@ func TestCSRSyntax(t *testing.T) {
 	}
 }
 
-func TestAMOSyntax(t *testing.T) {
-	p, err := Assemble(`
+const amoSrc = `
 		amoadd.d a0, a1, (a2)
 		lr.d t0, (a0)
 		sc.d t1, t2, (a0)
-	`)
+	`
+
+func TestAMOSyntax(t *testing.T) {
+	p, err := Assemble(amoSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,22 +365,19 @@ func TestAMOSyntax(t *testing.T) {
 	}
 }
 
+var errorSources = []string{
+	"bogus a0, a1",
+	"addi a0, a1",       // missing operand
+	"addi a0, a1, 5000", // imm out of range
+	"ld a0, a1",         // not a mem operand
+	"li a0, undefined_symbol",
+	".align x",
+	"dup:\ndup:",
+	".word 1)",
+}
+
 func TestErrors(t *testing.T) {
-	bad := []string{
-		"bogus a0, a1",
-		"addi a0, a1",                   // missing operand
-		"addi a0, a1, 5000",             // imm out of range
-		"ld a0, a1",                     // not a mem operand
-		"beq a0, a1, faraway\nfaraway:", // ok actually... replaced below
-		"li a0, undefined_symbol",
-		".align x",
-		"dup:\ndup:",
-		".word 1)",
-	}
-	for _, src := range bad {
-		if src == "beq a0, a1, faraway\nfaraway:" {
-			continue
-		}
+	for _, src := range errorSources {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
@@ -379,12 +395,14 @@ func TestBranchOutOfRange(t *testing.T) {
 	}
 }
 
-func TestEntrySymbol(t *testing.T) {
-	p, err := Assemble(`
+const entrySrc = `
 		nop
 	_start:
 		ret
-	`)
+	`
+
+func TestEntrySymbol(t *testing.T) {
+	p, err := Assemble(entrySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,17 +421,18 @@ func TestMaskSuffixOnLoad(t *testing.T) {
 	}
 }
 
+var fpSources = []string{
+	"fadd.d fa0, fa1, fa2",
+	"fmadd.d ft0, ft1, ft2, ft3",
+	"fcvt.d.l fa0, a0",
+	"fcvt.w.d a0, fa0",
+	"fsqrt.d fa0, fa1",
+	"feq.d a0, fa0, fa1",
+	"fmv.x.d a0, fa0",
+}
+
 func TestFPRoundTripThroughDisasm(t *testing.T) {
-	srcs := []string{
-		"fadd.d fa0, fa1, fa2",
-		"fmadd.d ft0, ft1, ft2, ft3",
-		"fcvt.d.l fa0, a0",
-		"fcvt.w.d a0, fa0",
-		"fsqrt.d fa0, fa1",
-		"feq.d a0, fa0, fa1",
-		"fmv.x.d a0, fa0",
-	}
-	for _, src := range srcs {
+	for _, src := range fpSources {
 		p, err := Assemble(src)
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
@@ -422,6 +441,48 @@ func TestFPRoundTripThroughDisasm(t *testing.T) {
 		in := decodeWord(t, p, 0)
 		if got := riscv.Disasm(in); got != src {
 			t.Errorf("disasm(%s) = %s", src, got)
+		}
+	}
+}
+
+// at is the address off bytes past the first statement's.
+func at(off int64) string { return fmt.Sprintf("%#x", int64(DefaultOptions().TextBase)+off) }
+
+var rangeCases = []struct {
+	src string
+	ok  bool
+}{
+	{"jalr ra, sp, 5000", false},
+	{"jalr ra, 5000(sp)", false},
+	{"jalr ra, 2047(sp)", true},
+	{"vsll.vi v1, v2, 31", true},
+	{"vsll.vi v1, v2, -1", false},
+	{"vslidedown.vi v1, v2, 32", false},
+	{"vadd.vi v1, v2, 16", false},
+	// The uimm5 of csrr*i and vsetivli lives in the uint8 Rs1 field,
+	// where 256 and 260 would wrap to 0 and 4.
+	{"csrrwi a0, mstatus, 31", true},
+	{"csrrwi a0, mstatus, 32", false},
+	{"csrrwi a0, mstatus, 256", false},
+	{"csrrsi a0, mstatus, -256", false},
+	{"vsetivli t0, 260, e32, m1", false},
+	{"beq a0, a1, " + at(4094), true},
+	{"beq a0, a1, " + at(4096), false},
+	{"beq a0, a1, " + at(-4098), false},
+	{"beq a0, a1, " + at(3), false},
+	{"jal ra, " + at(1<<20-2), true},
+	{"jal ra, " + at(1<<20), false},
+	{"jal " + at(5), false},
+}
+
+// TestOutOfRangeOperandsRefused names the edges that used to slip through:
+// jalr's offset was never range-checked ("jalr ra, sp, 5000" assembled to
+// "jalr ra, sp, 904"), and the vector shifts and slides read their unsigned
+// immediate as signed.
+func TestOutOfRangeOperandsRefused(t *testing.T) {
+	for _, c := range rangeCases {
+		if _, err := Assemble(c.src); (err == nil) != c.ok {
+			t.Errorf("Assemble(%q): err = %v, want ok = %v", c.src, err, c.ok)
 		}
 	}
 }

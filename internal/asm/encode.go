@@ -1,511 +1,32 @@
 package asm
 
-import (
-	"fmt"
-	"strings"
-
-	"github.com/coyote-sim/coyote/internal/riscv"
-)
-
-// expandLI returns the canonical instruction sequence materialising the
-// 64-bit constant v into rd (the same algorithm GNU as uses: build the
-// upper bits recursively, shift, then add the low 12 bits).
-func expandLI(rd uint8, v int64) []riscv.Instr {
-	if v >= -2048 && v < 2048 {
-		return []riscv.Instr{{Op: riscv.OpADDI, Rd: rd, Rs1: 0, Imm: v, VM: true}}
-	}
-	if v >= -(1<<31) && v < 1<<31 {
-		lo := v << 52 >> 52 // sign-extended low 12 bits
-		hi := uint32(v-lo) >> 12 & 0xfffff
-		seq := []riscv.Instr{{Op: riscv.OpLUI, Rd: rd, Imm: int64(hi), VM: true}}
-		if lo != 0 {
-			seq = append(seq, riscv.Instr{Op: riscv.OpADDIW, Rd: rd, Rs1: rd, Imm: lo, VM: true})
-		}
-		return seq
-	}
-	lo := v << 52 >> 52
-	upper := (v - lo) >> 12
-	seq := expandLI(rd, upper)
-	seq = append(seq, riscv.Instr{Op: riscv.OpSLLI, Rd: rd, Rs1: rd, Imm: 12, VM: true})
-	if lo != 0 {
-		seq = append(seq, riscv.Instr{Op: riscv.OpADDI, Rd: rd, Rs1: rd, Imm: lo, VM: true})
-	}
-	return seq
-}
-
-func xreg(s string) (uint8, error) {
-	if r, ok := riscv.XRegByName(strings.TrimSpace(s)); ok {
-		return r, nil
-	}
-	return 0, fmt.Errorf("bad integer register %q", s)
-}
-
-func freg(s string) (uint8, error) {
-	if r, ok := riscv.FRegByName(strings.TrimSpace(s)); ok {
-		return r, nil
-	}
-	return 0, fmt.Errorf("bad FP register %q", s)
-}
-
-func vreg(s string) (uint8, error) {
-	if r, ok := riscv.VRegByName(strings.TrimSpace(s)); ok {
-		return r, nil
-	}
-	return 0, fmt.Errorf("bad vector register %q", s)
-}
-
-// needOps checks the operand count.
-func needOps(name string, ops []string, n int) error {
-	if len(ops) != n {
-		return fmt.Errorf("%s: want %d operands, got %d", name, n, len(ops))
-	}
-	return nil
-}
-
-func checkRange(name string, v, lo, hi int64) error {
-	if v < lo || v > hi {
-		return fmt.Errorf("%s: immediate %d out of range [%d, %d]", name, v, lo, hi)
-	}
-	return nil
-}
-
-// enc is shorthand for encoding a single instruction to words.
-func enc(in riscv.Instr) ([]uint32, error) {
-	w, err := riscv.Encode(in)
-	if err != nil {
-		return nil, err
-	}
-	return []uint32{w}, nil
-}
+import "github.com/coyote-sim/coyote/internal/riscv"
 
 // encodeInstruction translates one assembly statement (mnemonic +
 // operands) into machine words. pc is the statement's address (needed for
-// branches, jumps and la); syms holds every label and .equ value.
+// branches, jumps and la); syms holds every label and .equ value. The
+// operand syntax of real instructions is riscv.Parse's, their ranges are
+// riscv.Encode's; only the pseudo-instructions are this package's.
 func encodeInstruction(name string, ops []string, pc uint64, syms map[string]uint64) ([]uint32, error) {
-	// Vector mask suffix: a trailing "v0.t" operand clears VM.
-	vm := true
-	if n := len(ops); n > 0 && strings.EqualFold(strings.TrimSpace(ops[n-1]), "v0.t") {
-		vm = false
-		ops = ops[:n-1]
-	}
-
-	if words, handled, err := encodePseudo(name, ops, pc, syms); handled {
-		return words, err
-	}
-
-	op, ok := riscv.OpByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown mnemonic %q", name)
-	}
-	in := riscv.Instr{Op: op, VM: vm}
-	cls := op.Classify()
-
-	ev := func(s string) (int64, error) { return evalExpr(s, syms) }
-	branchTarget := func(s string) (int64, error) {
-		t, err := ev(s)
-		if err != nil {
-			return 0, err
-		}
-		return t - int64(pc), nil
-	}
-
-	switch {
-	// ----- vector -----
-	case op == riscv.OpVSETVLI, op == riscv.OpVSETIVLI:
-		if len(ops) < 4 {
-			return nil, fmt.Errorf("%s: want rd, rs1/uimm, eSEW, mLMUL", name)
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if op == riscv.OpVSETVLI {
-			if in.Rs1, err = xreg(ops[1]); err != nil {
-				return nil, err
-			}
-		} else {
-			v, err := ev(ops[1])
-			if err != nil {
-				return nil, err
-			}
-			if err := checkRange(name, v, 0, 31); err != nil {
-				return nil, err
-			}
-			in.Rs1 = uint8(v)
-		}
-		vt, err := parseVTypeOperands(ops[2:])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		in.Imm = vt
-		return enc(in)
-	case op == riscv.OpVSETVL:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs1, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		if in.Rs2, err = xreg(ops[2]); err != nil {
-			return nil, err
-		}
-		return enc(in)
-
-	case op.IsVectorMem():
-		return encodeVMem(in, name, ops, syms)
-
-	case op.IsVector():
-		return encodeVArith(in, name, ops, syms)
-
-	// ----- atomics -----
-	case op == riscv.OpLRW, op == riscv.OpLRD:
-		if err := needOps(name, ops, 2); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		off, base, err := parseMemOperand(ops[1], syms)
-		if err != nil || off != 0 {
-			return nil, fmt.Errorf("%s: want (rs1) operand", name)
-		}
-		if in.Rs1, err = xreg(base); err != nil {
-			return nil, err
-		}
-		return enc(in)
-	case cls&riscv.ClassAtomic != 0:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs2, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		off, base, err := parseMemOperand(ops[2], syms)
-		if err != nil || off != 0 {
-			return nil, fmt.Errorf("%s: want (rs1) operand", name)
-		}
-		if in.Rs1, err = xreg(base); err != nil {
-			return nil, err
-		}
-		return enc(in)
-
-	// ----- FP -----
-	case cls&riscv.ClassFloat != 0:
-		return encodeFP(in, name, ops, syms)
-
-	// ----- scalar loads/stores -----
-	case cls&riscv.ClassLoad != 0:
-		if err := needOps(name, ops, 2); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		off, base, err := parseMemOperand(ops[1], syms)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, off, -2048, 2047); err != nil {
-			return nil, err
-		}
-		in.Imm = off
-		if in.Rs1, err = xreg(base); err != nil {
-			return nil, err
-		}
-		return enc(in)
-	case cls&riscv.ClassStore != 0:
-		if err := needOps(name, ops, 2); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rs2, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		off, base, err := parseMemOperand(ops[1], syms)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, off, -2048, 2047); err != nil {
-			return nil, err
-		}
-		in.Imm = off
-		if in.Rs1, err = xreg(base); err != nil {
-			return nil, err
-		}
-		return enc(in)
-
-	// ----- control flow -----
-	case op == riscv.OpJAL:
-		switch len(ops) {
-		case 1: // jal label  → rd = ra
-			in.Rd = riscv.RegRA
-			t, err := branchTarget(ops[0])
-			if err != nil {
-				return nil, err
-			}
-			in.Imm = t
-		case 2:
-			var err error
-			if in.Rd, err = xreg(ops[0]); err != nil {
-				return nil, err
-			}
-			t, err := branchTarget(ops[1])
-			if err != nil {
-				return nil, err
-			}
-			in.Imm = t
-		default:
-			return nil, fmt.Errorf("jal: want 1 or 2 operands")
-		}
-		if err := checkRange(name, in.Imm, -(1 << 20), 1<<20-1); err != nil {
-			return nil, err
-		}
-		return enc(in)
-	case op == riscv.OpJALR:
-		// jalr rd, rs1, imm  |  jalr rd, imm(rs1)  |  jalr rs1
-		var err error
-		switch len(ops) {
-		case 1:
-			in.Rd = 0
-			if in.Rs1, err = xreg(ops[0]); err != nil {
-				return nil, err
-			}
-		case 2:
-			if in.Rd, err = xreg(ops[0]); err != nil {
-				return nil, err
-			}
-			off, base, merr := parseMemOperand(ops[1], syms)
-			if merr != nil {
-				return nil, merr
-			}
-			in.Imm = off
-			if in.Rs1, err = xreg(base); err != nil {
-				return nil, err
-			}
-		case 3:
-			if in.Rd, err = xreg(ops[0]); err != nil {
-				return nil, err
-			}
-			if in.Rs1, err = xreg(ops[1]); err != nil {
-				return nil, err
-			}
-			if in.Imm, err = ev(ops[2]); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("jalr: want 1-3 operands")
-		}
-		return enc(in)
-	case cls&riscv.ClassBranch != 0:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rs1, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs2, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		t, err := branchTarget(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, t, -4096, 4095); err != nil {
-			return nil, err
-		}
-		in.Imm = t
-		return enc(in)
-
-	// ----- CSR -----
-	case cls&riscv.ClassCSR != 0:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		csr, err := parseCSR(ops[1], syms)
-		if err != nil {
-			return nil, err
-		}
-		in.Imm = int64(csr)
-		switch op {
-		case riscv.OpCSRRWI, riscv.OpCSRRSI, riscv.OpCSRRCI:
-			v, err := ev(ops[2])
-			if err != nil {
-				return nil, err
-			}
-			if err := checkRange(name, v, 0, 31); err != nil {
-				return nil, err
-			}
-			in.Rs1 = uint8(v)
-		default:
-			if in.Rs1, err = xreg(ops[2]); err != nil {
-				return nil, err
-			}
-		}
-		return enc(in)
-
-	// ----- the rest of the scalar ISA -----
-	case op == riscv.OpLUI, op == riscv.OpAUIPC:
-		if err := needOps(name, ops, 2); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		v, err := ev(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, v, 0, 0xfffff); err != nil {
-			return nil, err
-		}
-		in.Imm = v
-		return enc(in)
-	case op == riscv.OpECALL, op == riscv.OpEBREAK, op == riscv.OpFENCE,
-		op == riscv.OpFENCEI:
-		if len(ops) != 0 && op != riscv.OpFENCE {
-			return nil, fmt.Errorf("%s takes no operands", name)
-		}
-		return enc(in)
-	case op == riscv.OpSLLI, op == riscv.OpSRLI, op == riscv.OpSRAI:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs1, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		if in.Imm, err = ev(ops[2]); err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, in.Imm, 0, 63); err != nil {
-			return nil, err
-		}
-		return enc(in)
-	case op == riscv.OpSLLIW, op == riscv.OpSRLIW, op == riscv.OpSRAIW:
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs1, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		if in.Imm, err = ev(ops[2]); err != nil {
-			return nil, err
-		}
-		if err := checkRange(name, in.Imm, 0, 31); err != nil {
-			return nil, err
-		}
-		return enc(in)
-	default:
-		// I-type ALU immediates vs R-type: decide by trying the third
-		// operand as a register first.
-		if err := needOps(name, ops, 3); err != nil {
-			return nil, err
-		}
-		var err error
-		if in.Rd, err = xreg(ops[0]); err != nil {
-			return nil, err
-		}
-		if in.Rs1, err = xreg(ops[1]); err != nil {
-			return nil, err
-		}
-		if isImmALU(op) {
-			if in.Imm, err = ev(ops[2]); err != nil {
-				return nil, err
-			}
-			if err := checkRange(name, in.Imm, -2048, 2047); err != nil {
-				return nil, err
-			}
-		} else {
-			if in.Rs2, err = xreg(ops[2]); err != nil {
-				return nil, err
-			}
-		}
-		return enc(in)
-	}
-}
-
-func isImmALU(op riscv.Op) bool {
-	switch op {
-	case riscv.OpADDI, riscv.OpSLTI, riscv.OpSLTIU, riscv.OpXORI,
-		riscv.OpORI, riscv.OpANDI, riscv.OpADDIW:
-		return true
-	}
-	return false
-}
-
-// parseCSR accepts a CSR by name (mhartid) or numeric address.
-func parseCSR(s string, syms map[string]uint64) (uint16, error) {
-	s = strings.TrimSpace(s)
-	if addr, ok := riscv.CSRByName(s); ok {
-		return addr, nil
-	}
-	v, err := evalExpr(s, syms)
+	seq, err := expandPseudo(name, ops, pc, syms)
 	if err != nil {
-		return 0, fmt.Errorf("bad CSR %q", s)
+		return nil, err
 	}
-	if v < 0 || v > 0xfff {
-		return 0, fmt.Errorf("CSR address %#x out of range", v)
+	if seq == nil {
+		if template, ok := rewrites[rewriteKey{name, len(ops)}]; ok {
+			name, ops = applyRewrite(template, ops)
+		}
+		in, err := riscv.Parse(name, ops, pc, func(s string) (int64, error) { return evalExpr(s, syms) })
+		if err != nil {
+			return nil, err
+		}
+		seq = []riscv.Instr{in}
 	}
-	return uint16(v), nil
-}
-
-// parseVTypeOperands parses the eSEW, mLMUL[, ta][, ma] tail of vsetvli.
-func parseVTypeOperands(ops []string) (int64, error) {
-	vt := riscv.VType{SEW: 64, LMUL: 1}
-	seen := 0
-	for _, o := range ops {
-		o = strings.ToLower(strings.TrimSpace(o))
-		switch {
-		case strings.HasPrefix(o, "e"):
-			var sew uint
-			if _, err := fmt.Sscanf(o, "e%d", &sew); err != nil {
-				return 0, fmt.Errorf("bad SEW %q", o)
-			}
-			vt.SEW = sew
-			seen++
-		case strings.HasPrefix(o, "m") && o != "ma":
-			var lmul uint
-			if _, err := fmt.Sscanf(o, "m%d", &lmul); err != nil {
-				return 0, fmt.Errorf("bad LMUL %q", o)
-			}
-			vt.LMUL = lmul
-		case o == "ta":
-			vt.TA = true
-		case o == "tu":
-			vt.TA = false
-		case o == "ma":
-			vt.MA = true
-		case o == "mu":
-			vt.MA = false
-		default:
-			return 0, fmt.Errorf("bad vtype operand %q", o)
+	words := make([]uint32, len(seq))
+	for i, in := range seq {
+		if words[i], err = riscv.Encode(in); err != nil {
+			return nil, err
 		}
 	}
-	if seen == 0 {
-		return 0, fmt.Errorf("missing eSEW operand")
-	}
-	return riscv.EncodeVType(vt)
+	return words, nil
 }

@@ -13,6 +13,7 @@ type item struct {
 	label    string   // non-empty for a label definition
 	name     string   // directive (with dot) or mnemonic
 	operands []string // raw operand strings, comma-split at top level
+	size     uint64   // bytes pass 1 laid out for it
 }
 
 // parseLines splits source text into items. Comments start with '#' or

@@ -2,13 +2,16 @@ package asm
 
 // Cross-checks the assembler against the disassembler: for random
 // instances of (almost) every opcode, riscv.Disasm output must assemble
-// back to the identical machine word. Control-flow and U-format ops are
-// excluded because their textual operands are symbolic targets, not the
-// raw immediates the disassembler prints.
+// back to the identical machine word. Branches and jal are excluded
+// because their textual operands are symbolic targets, not the raw
+// offsets the disassembler prints.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/coyote-sim/coyote/internal/riscv"
@@ -27,71 +30,20 @@ func assembleOne(t *testing.T, src string) (uint32, error) {
 	return binary.LittleEndian.Uint32(p.Text), nil
 }
 
+// skipRoundTrip: ops whose text operand is an address, not the offset the
+// disassembler prints.
 func skipRoundTrip(op riscv.Op) bool {
-	cls := op.Classify()
-	switch {
-	case cls&riscv.ClassBranch != 0:
-		return true // branch targets are labels in assembly
-	case op == riscv.OpLUI, op == riscv.OpAUIPC:
-		return true // Disasm prints hex imm20; assembler accepts it, but
-		// AUIPC rarely appears hand-written — covered by la tests
-	case op == riscv.OpFENCE, op == riscv.OpECALL, op == riscv.OpEBREAK:
-		return false
-	}
-	return false
+	return op.Classify()&riscv.ClassBranch != 0 && op != riscv.OpJALR
 }
 
 func TestDisasmAssembleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	reg := func() uint8 { return uint8(rng.Intn(32)) }
-	for opInt := 1; ; opInt++ {
-		op := riscv.Op(opInt)
-		if op.String() == "invalid" {
-			break
-		}
+	for _, op := range riscv.Ops() {
 		if skipRoundTrip(op) {
 			continue
 		}
 		for trial := 0; trial < 8; trial++ {
-			in := riscv.Instr{Op: op, VM: true}
-			in.Rd, in.Rs1, in.Rs2, in.Rs3 = reg(), reg(), reg(), reg()
-			cls := op.Classify()
-			switch {
-			case op == riscv.OpJAL:
-				in.Imm = int64(rng.Intn(1024)) &^ 1
-				in.Rd = 0 // Disasm prints "jal zero, off"; both forms parse
-			case op == riscv.OpJALR:
-				in.Imm = int64(rng.Intn(2048) - 1024)
-			case op == riscv.OpSLLI || op == riscv.OpSRLI || op == riscv.OpSRAI:
-				in.Imm = int64(rng.Intn(64))
-			case op == riscv.OpSLLIW || op == riscv.OpSRLIW || op == riscv.OpSRAIW:
-				in.Imm = int64(rng.Intn(32))
-			case cls&riscv.ClassCSR != 0:
-				in.Imm = riscv.CSRMHartID // named CSR survives the trip
-				if op == riscv.OpCSRRWI || op == riscv.OpCSRRSI || op == riscv.OpCSRRCI {
-					in.Rs1 = uint8(rng.Intn(32))
-				}
-			case op == riscv.OpVSETVLI:
-				vt, _ := riscv.EncodeVType(riscv.VType{SEW: 64, LMUL: 2})
-				in.Imm = vt
-			case op == riscv.OpVSETIVLI:
-				vt, _ := riscv.EncodeVType(riscv.VType{SEW: 32, LMUL: 1})
-				in.Imm = vt
-				in.Rs1 = uint8(rng.Intn(32))
-			case op == riscv.OpVADDVI, op == riscv.OpVRSUBVI, op == riscv.OpVANDVI,
-				op == riscv.OpVORVI, op == riscv.OpVXORVI, op == riscv.OpVSLLVI,
-				op == riscv.OpVSRLVI, op == riscv.OpVSRAVI, op == riscv.OpVMSEQVI,
-				op == riscv.OpVMVVI, op == riscv.OpVSLIDEDOWNVI:
-				in.Imm = int64(rng.Intn(31) - 15)
-			default:
-				in.Imm = int64(rng.Intn(2048) - 1024)
-			}
-			// Ops whose encodings fix vs2/vs1 to zero must match that.
-			switch op {
-			case riscv.OpVMVVV, riscv.OpVMVVX, riscv.OpVMVVI,
-				riscv.OpVFMVVF, riscv.OpVMVSX, riscv.OpVFMVSF:
-				in.Rs2 = 0
-			}
+			in := riscv.Legal(rng, op)
 			want, err := riscv.Encode(in)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", op, err)
@@ -105,5 +57,87 @@ func TestDisasmAssembleRoundTrip(t *testing.T) {
 				t.Fatalf("%v: %q assembled to %#08x, want %#08x", op, text, got, want)
 			}
 		}
+	}
+}
+
+// wrapped returns text once for every numeric operand in it (an offset in
+// offset(base) included) and every d, with that operand moved by d and
+// printed the way Disasm printed it.
+func wrapped(text string, ds []int64) []string {
+	name, rest, _ := strings.Cut(text, " ")
+	toks := strings.Split(rest, ", ")
+	var out []string
+	for i, tok := range toks {
+		num, base := tok, ""
+		if p := strings.Index(tok, "("); p >= 0 {
+			num, base = tok[:p], tok[p:]
+		}
+		v, err := strconv.ParseInt(num, 0, 64)
+		if err != nil {
+			continue
+		}
+		format := "%d%s"
+		if strings.HasPrefix(num, "0x") {
+			format = "%#x%s"
+		}
+		for _, d := range ds {
+			moved := append([]string(nil), toks...)
+			moved[i] = fmt.Sprintf(format, v+d, base)
+			out = append(out, name+" "+strings.Join(moved, ", "))
+		}
+	}
+	return out
+}
+
+// TestAssembleTruncatesNothing: the text path has no range logic of its
+// own, so whatever it accepts must disassemble back to the text it was
+// given. Each probe is a legal instance with one field pushed to or past
+// the edge of some immediate or register range, or with a number in its
+// text moved by a multiple of 256 — what a narrower Instr field would wrap
+// back into range. Before riscv.Encode became the one checker "jalr ra, sp,
+// 5000" assembled to "jalr ra, sp, 904".
+func TestAssembleTruncatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var probes []int64
+	for _, k := range []uint{4, 5, 6, 10, 11, 12, 20} {
+		probes = append(probes, -1<<k-1, -1<<k, 1<<k-1, 1<<k)
+	}
+	wraps := []int64{-1 << 32, -1 << 16, -1 << 8, 1 << 8, 1 << 16, 1 << 32}
+	refused := 0
+	for _, op := range riscv.Ops() {
+		if skipRoundTrip(op) {
+			continue
+		}
+		var cases []string
+		for _, v := range probes {
+			in := riscv.Legal(rng, op)
+			in.Imm = v
+			cases = append(cases, riscv.Disasm(in))
+		}
+		for _, set := range []func(*riscv.Instr){
+			func(in *riscv.Instr) { in.Rd = 32 }, func(in *riscv.Instr) { in.Rs1 = 32 },
+			func(in *riscv.Instr) { in.Rs2 = 32 }, func(in *riscv.Instr) { in.Rs3 = 32 },
+		} {
+			in := riscv.Legal(rng, op)
+			set(&in)
+			cases = append(cases, riscv.Disasm(in))
+		}
+		cases = append(cases, wrapped(riscv.Disasm(riscv.Legal(rng, op)), wraps)...)
+		for _, text := range cases {
+			w, err := assembleOne(t, text)
+			if err != nil {
+				refused++ // refusing is never wrong here: legal text is TestDisasmAssembleRoundTrip's
+				continue
+			}
+			back, err := riscv.Decode(w)
+			if err != nil {
+				t.Errorf("%q assembled to %#08x, which does not decode", text, w)
+			} else if got := riscv.Disasm(back); got != text {
+				t.Errorf("%q assembled to %#08x = %q", text, w, got)
+			}
+		}
+	}
+	if refused < 500 {
+		t.Errorf("only %d probes refused; the probe set no longer reaches the range edges", refused)
 	}
 }

@@ -662,7 +662,8 @@ func (h *Hart) scalarLoadAccess(addr uint64, dest RegKind, destReg uint8) {
 	if !res.Hit {
 		h.Stats.LoadMisses++
 		h.markPending(dest, destReg)
-		h.emit(MemEvent{Addr: h.L1D.LineAddr(addr), HasDest: true, Dest: dest, DestReg: destReg})
+		// A load to x0 has no register to wake; the fill completes unheard.
+		h.emit(MemEvent{Addr: h.L1D.LineAddr(addr), HasDest: dest != RegX || destReg != 0, Dest: dest, DestReg: destReg})
 	}
 }
 

@@ -456,3 +456,16 @@ func TestMulhsuEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadToX0MissCompletes: a load whose destination is x0 (a prefetch)
+// marks nothing pending, so its miss must not ask the orchestrator for a
+// completion — CompleteFill panicked on the stray one.
+func TestLoadToX0MissCompletes(t *testing.T) {
+	h := newTestHart(t)
+	h.X[10] = 0x4000
+	load(t, h, ins(riscv.OpLD, 0, 10, 0, 0), ins(riscv.OpFLD, 0, 10, 0, 8))
+	run(t, h, 20)
+	if h.PendingAny() {
+		t.Error("fills still pending after the run")
+	}
+}

@@ -24,10 +24,14 @@ import (
 // everything before it missed".
 var OracleNames = []string{"build", "vet", "lint", "tests", "golden", "san"}
 
-// goldenTests is the -run regex of the root package's golden determinism
-// suite: the bit-identical trace/result/cache-key/checkpoint goldens that
-// PR 1-6 established as the repo's ground truth.
-const goldenTests = "^(TestTraceDeterminismGolden|TestDeterminismGolden|TestWorkersDeterminismGolden|TestCacheKeyGolden|TestCheckpointGolden|TestCheckpointLayoutGolden)$"
+// goldenTests is the -run regex of the golden suite: the root package's
+// bit-identical trace/result/cache-key/checkpoint goldens that PR 1-6
+// established as the repo's ground truth, plus the ISA table's and the
+// assembled kernel images' goldens in goldenPkgs.
+const goldenTests = "^(TestTraceDeterminismGolden|TestDeterminismGolden|TestWorkersDeterminismGolden|TestCacheKeyGolden|TestCheckpointGolden|TestCheckpointLayoutGolden|TestISAGolden|TestProgramsGolden)$"
+
+// goldenPkgs are the packages goldenTests is run in.
+var goldenPkgs = []string{".", "./internal/riscv", "./internal/kernels"}
 
 // Oracles drives the cascade for one Engine. The expensive shared state —
 // the lint suite's whole-program loader — is resolved once and reused for
@@ -63,7 +67,7 @@ func (o *Oracles) Fingerprint() (string, error) {
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(h, "analyzer %s\n", a.Name)
 	}
-	fmt.Fprintf(h, "golden %s\n", goldenTests)
+	fmt.Fprintf(h, "golden %s %v\n", goldenTests, goldenPkgs)
 	type entry struct{ rel, sum string }
 	var entries []entry
 	for _, pi := range o.eng.infos {
@@ -339,12 +343,13 @@ func oraclePkg(importPath string) bool {
 	return !strings.Contains(importPath, "/internal/mut")
 }
 
-// goldenStage runs the root package's golden determinism tests: the
-// end-to-end bit-identical trace, result and cache-key goldens.
+// goldenStage runs the golden suite: the root package's end-to-end
+// bit-identical trace, result and cache-key goldens, and the ISA and
+// kernel-image goldens beside the packages they pin.
 func (o *Oracles) goldenStage(m *Mutant, ov string) (bool, string, error) {
-	out, failed, err := o.runGo(o.TestTimeout+30*time.Second,
+	out, failed, err := o.runGo(o.TestTimeout+30*time.Second, append([]string{
 		"test", "-overlay", ov, "-count=1", "-timeout", o.TestTimeout.String(),
-		"-run", goldenTests, ".")
+		"-run", goldenTests}, goldenPkgs...)...)
 	if err != nil {
 		return false, "", err
 	}
@@ -386,9 +391,9 @@ func (o *Oracles) sanStage(m *Mutant, ov string) (bool, string, error) {
 	}
 	// Golden smoke under the sanitizer: end-to-end kernels with every
 	// shadow check armed.
-	out, failed, err := o.runGo(o.TestTimeout+30*time.Second,
+	out, failed, err := o.runGo(o.TestTimeout+30*time.Second, append([]string{
 		"test", "-tags", "coyotesan", "-overlay", ov, "-count=1",
-		"-timeout", o.TestTimeout.String(), "-run", goldenTests, ".")
+		"-timeout", o.TestTimeout.String(), "-run", goldenTests}, goldenPkgs...)...)
 	if err != nil {
 		return false, "", err
 	}

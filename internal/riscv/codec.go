@@ -2,12 +2,6 @@ package riscv
 
 import "fmt"
 
-// sext sign-extends the low bits of v.
-func sext(v uint64, bits uint) int64 {
-	shift := 64 - bits
-	return int64(v<<shift) >> shift
-}
-
 // Decode translates a 32-bit instruction word into an Instr.
 // Unrecognised words return an error (the CPU raises an illegal
 // instruction in that case).
@@ -15,166 +9,59 @@ func Decode(raw uint32) (Instr, error) {
 	bucket := decodeBuckets[raw&0x7f]
 	for i := range bucket {
 		r := &bucket[i]
-		if raw&r.mask == r.match {
-			return unpack(r, raw), nil
+		if raw&r.mask != r.match {
+			continue
 		}
+		in := Instr{Op: r.op, VM: true}
+		for _, o := range r.ops {
+			var v int64
+			for _, s := range o.segs() {
+				v |= int64(raw>>s.to) & (1<<s.width - 1) << s.from
+			}
+			if k := kinds[o.kind]; v > k.hi {
+				v += 2 * k.lo // two's complement: the codes above hi are a signed kind's negatives
+			}
+			in = in.with(o.field, v)
+		}
+		return in, nil
 	}
 	return Instr{}, fmt.Errorf("riscv: cannot decode %#08x", raw) //coyote:alloc-ok decode errors fault the hart and end the run
 }
 
-func unpack(r *encRow, raw uint32) Instr {
-	in := Instr{Op: r.op, VM: true}
-	rd := uint8(raw >> 7 & 0x1f)
-	rs1 := uint8(raw >> 15 & 0x1f)
-	rs2 := uint8(raw >> 20 & 0x1f)
-	switch r.f {
-	case ofsNone:
-	case ofsR:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-	case ofsR4:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		in.Rs3 = uint8(raw >> 27 & 0x1f)
-	case ofsI:
-		in.Rd, in.Rs1 = rd, rs1
-		in.Imm = sext(uint64(raw>>20), 12)
-	case ofsISh6:
-		in.Rd, in.Rs1 = rd, rs1
-		in.Imm = int64(raw >> 20 & 0x3f)
-	case ofsISh5:
-		in.Rd, in.Rs1 = rd, rs1
-		in.Imm = int64(raw >> 20 & 0x1f)
-	case ofsS:
-		in.Rs1, in.Rs2 = rs1, rs2
-		in.Imm = sext(uint64(raw>>25<<5|raw>>7&0x1f), 12)
-	case ofsB:
-		in.Rs1, in.Rs2 = rs1, rs2
-		imm := (raw>>31&1)<<12 | (raw>>7&1)<<11 | (raw>>25&0x3f)<<5 | (raw>>8&0xf)<<1
-		in.Imm = sext(uint64(imm), 13)
-	case ofsU:
-		in.Rd = rd
-		in.Imm = int64(raw >> 12 & 0xfffff)
-	case ofsJ:
-		in.Rd = rd
-		imm := (raw>>31&1)<<20 | (raw>>12&0xff)<<12 | (raw>>20&1)<<11 | (raw>>21&0x3ff)<<1
-		in.Imm = sext(uint64(imm), 21)
-	case ofsCSR:
-		in.Rd, in.Rs1 = rd, rs1 // rs1 doubles as uimm5 for the *I forms
-		in.Imm = int64(raw >> 20 & 0xfff)
-	case ofsRdRs1:
-		in.Rd, in.Rs1 = rd, rs1
-	case ofsVL, ofsVS:
-		in.Rd, in.Rs1 = rd, rs1
-		in.VM = raw>>25&1 == 1
-	case ofsVLS, ofsVSS, ofsVLX, ofsVSX:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		in.VM = raw>>25&1 == 1
-	case ofsOPVV, ofsOPVX:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		in.VM = raw>>25&1 == 1
-	case ofsOPVI:
-		in.Rd, in.Rs2 = rd, rs2
-		in.Imm = sext(uint64(rs1), 5)
-		in.VM = raw>>25&1 == 1
-	case ofsOPMV:
-		in.Rd, in.Rs2 = rd, rs2
-		in.VM = raw>>25&1 == 1
-	case ofsOPSX:
-		in.Rd, in.Rs1 = rd, rs1
-	case ofsOPMVV:
-		in.Rd = rd
-		in.VM = raw>>25&1 == 1
-	case ofsVSETVLI:
-		in.Rd, in.Rs1 = rd, rs1
-		in.Imm = int64(raw >> 20 & 0x7ff)
-	case ofsVSETIVLI:
-		in.Rd, in.Rs1 = rd, rs1 // Rs1 holds uimm5
-		in.Imm = int64(raw >> 20 & 0x3ff)
-	case ofsVSETVL:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-	}
-	return in
-}
-
-// Encode translates an Instr into its 32-bit machine word.
+// Encode translates an Instr into its 32-bit machine word. It is the one
+// place an operand's range is checked: a register number above 31, an
+// immediate outside its kind's range or an odd branch or jump offset is an
+// error, never a truncation. Fields the op has no operand for are ignored.
 func Encode(in Instr) (uint32, error) {
-	if int(in.Op) >= len(encodeRows) || encodeRows[in.Op] == nil {
+	r := rowOf(in.Op)
+	if r == nil {
 		return 0, fmt.Errorf("riscv: no encoding for op %v", in.Op)
 	}
-	r := encodeRows[in.Op]
-	raw := r.match
-	rd := uint32(in.Rd&0x1f) << 7
-	rs1 := uint32(in.Rs1&0x1f) << 15
-	rs2 := uint32(in.Rs2&0x1f) << 20
-	vm := uint32(0)
-	if in.VM {
-		vm = 1 << 25
+	raw := r.match | r.canon
+	for _, o := range r.ops {
+		v := in.get(o.field)
+		if err := kinds[o.kind].check(v); err != nil {
+			return 0, fmt.Errorf("riscv: %v: %w", in.Op, err)
+		}
+		for _, s := range o.segs() {
+			raw |= uint32(v>>s.from) & (1<<s.width - 1) << s.to
+		}
 	}
-	switch r.f {
-	case ofsNone:
-	case ofsR:
-		raw |= rd | rs1 | rs2
-	case ofsR4:
-		raw |= rd | rs1 | rs2 | uint32(in.Rs3&0x1f)<<27
-		raw |= 0b111 << 12 // rm = dynamic
-	case ofsI:
-		raw |= rd | rs1 | uint32(in.Imm&0xfff)<<20
-	case ofsISh6:
-		raw |= rd | rs1 | uint32(in.Imm&0x3f)<<20
-	case ofsISh5:
-		raw |= rd | rs1 | uint32(in.Imm&0x1f)<<20
-	case ofsS:
-		imm := uint32(in.Imm & 0xfff)
-		raw |= rs1 | rs2 | imm>>5<<25 | imm&0x1f<<7
-	case ofsB:
-		imm := uint32(in.Imm & 0x1fff)
-		raw |= rs1 | rs2 |
-			imm>>12&1<<31 | imm>>5&0x3f<<25 | imm>>1&0xf<<8 | imm>>11&1<<7
-	case ofsU:
-		raw |= rd | uint32(in.Imm&0xfffff)<<12
-	case ofsJ:
-		imm := uint32(in.Imm & 0x1fffff)
-		raw |= rd |
-			imm>>20&1<<31 | imm>>1&0x3ff<<21 | imm>>11&1<<20 | imm>>12&0xff<<12
-	case ofsCSR:
-		raw |= rd | rs1 | uint32(in.Imm&0xfff)<<20
-	case ofsRdRs1:
-		raw |= rd | rs1
-		if r.mask&(7<<12) == 0 {
-			raw |= 0b111 << 12 // rm = dynamic
-		}
-	case ofsVL, ofsVS:
-		raw |= rd | rs1 | vm
-	case ofsVLS, ofsVSS, ofsVLX, ofsVSX:
-		raw |= rd | rs1 | rs2 | vm
-	case ofsOPVV, ofsOPVX:
-		raw |= rd | rs1 | rs2
-		if r.mask&(1<<25) == 0 {
-			raw |= vm
-		}
-	case ofsOPVI:
-		raw |= rd | rs2 | uint32(in.Imm&0x1f)<<15
-		if r.mask&(1<<25) == 0 {
-			raw |= vm
-		}
-	case ofsOPMV:
-		raw |= rd | rs2 | vm
-	case ofsOPSX:
-		raw |= rd | rs1
-	case ofsOPMVV:
-		raw |= rd | vm
-	case ofsVSETVLI:
-		raw |= rd | rs1 | uint32(in.Imm&0x7ff)<<20
-	case ofsVSETIVLI:
-		raw |= rd | rs1 | uint32(in.Imm&0x3ff)<<20
-	case ofsVSETVL:
-		raw |= rd | rs1 | rs2
-	}
-	// The FP binary/R4 ops with dynamic rm: for ofsR rows whose mask leaves
-	// funct3 free, encode rm = dynamic.
-	if r.f == ofsR && r.mask&(7<<12) == 0 {
-		raw |= 0b111 << 12
+	if raw&r.mask != r.match {
+		return 0, fmt.Errorf("riscv: %v: an operand overwrites the opcode's fixed bits", in.Op)
 	}
 	return raw, nil
+}
+
+// check is the range rule Encode applies to an operand of kind k.
+func (k kindInfo) check(v int64) error {
+	if v < k.lo || v > k.hi {
+		return fmt.Errorf("%s %d out of range [%d, %d]", k.name, v, k.lo, k.hi)
+	}
+	if k.step > 1 && v%k.step != 0 {
+		return fmt.Errorf("%s %d is not a multiple of %d", k.name, v, k.step)
+	}
+	return nil
 }
 
 // MustEncode is Encode but panics on error; for use in tests and kernel

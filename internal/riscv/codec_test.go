@@ -2,20 +2,12 @@ package riscv
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
 
-// allOps returns every opcode with an encoding row.
-func allOps() []Op {
-	var ops []Op
-	for op := Op(1); op < opMax; op++ {
-		if encodeRows[op] != nil {
-			ops = append(ops, op)
-		}
-	}
-	return ops
-}
+var allOps = Ops
 
 func TestEveryOpHasEncoding(t *testing.T) {
 	for op := Op(1); op < opMax; op++ {
@@ -39,89 +31,13 @@ func TestEncodingMaskCoversMatch(t *testing.T) {
 	}
 }
 
-// randInstr builds a random but encodable Instr for op.
-func randInstr(rng *rand.Rand, op Op) Instr {
-	r := encodeRows[op]
-	in := Instr{Op: op, VM: true}
-	reg := func() uint8 { return uint8(rng.Intn(32)) }
-	switch r.f {
-	case ofsR, ofsVSETVL:
-		in.Rd, in.Rs1, in.Rs2 = reg(), reg(), reg()
-	case ofsR4:
-		in.Rd, in.Rs1, in.Rs2, in.Rs3 = reg(), reg(), reg(), reg()
-	case ofsI:
-		in.Rd, in.Rs1 = reg(), reg()
-		in.Imm = int64(rng.Intn(4096) - 2048)
-	case ofsISh6:
-		in.Rd, in.Rs1 = reg(), reg()
-		in.Imm = int64(rng.Intn(64))
-	case ofsISh5:
-		in.Rd, in.Rs1 = reg(), reg()
-		in.Imm = int64(rng.Intn(32))
-	case ofsS:
-		in.Rs1, in.Rs2 = reg(), reg()
-		in.Imm = int64(rng.Intn(4096) - 2048)
-	case ofsB:
-		in.Rs1, in.Rs2 = reg(), reg()
-		in.Imm = int64(rng.Intn(8192)-4096) &^ 1
-	case ofsU:
-		in.Rd = reg()
-		in.Imm = int64(rng.Intn(1 << 20))
-	case ofsJ:
-		in.Rd = reg()
-		in.Imm = int64(rng.Intn(1<<21)-(1<<20)) &^ 1
-	case ofsCSR:
-		in.Rd, in.Rs1 = reg(), reg()
-		in.Imm = int64(rng.Intn(1 << 12))
-	case ofsRdRs1, ofsOPSX:
-		in.Rd, in.Rs1 = reg(), reg()
-	case ofsVL, ofsVS:
-		in.Rd, in.Rs1 = reg(), reg()
-		in.VM = rng.Intn(2) == 0
-	case ofsVLS, ofsVSS, ofsVLX, ofsVSX:
-		in.Rd, in.Rs1, in.Rs2 = reg(), reg(), reg()
-		in.VM = rng.Intn(2) == 0
-	case ofsOPVV, ofsOPVX:
-		in.Rd, in.Rs1, in.Rs2 = reg(), reg(), reg()
-		if r.mask&(1<<25) == 0 {
-			in.VM = rng.Intn(2) == 0
-		}
-	case ofsOPVI:
-		in.Rd, in.Rs2 = reg(), reg()
-		in.Imm = int64(rng.Intn(32) - 16)
-		if r.mask&(1<<25) == 0 {
-			in.VM = rng.Intn(2) == 0
-		}
-	case ofsOPMV:
-		in.Rd, in.Rs2 = reg(), reg()
-		in.VM = rng.Intn(2) == 0
-	case ofsOPMVV:
-		in.Rd = reg()
-		in.VM = rng.Intn(2) == 0
-	case ofsVSETVLI:
-		in.Rd, in.Rs1 = reg(), reg()
-		vt, _ := EncodeVType(VType{SEW: 64, LMUL: 1 << uint(rng.Intn(4)), TA: true, MA: true})
-		in.Imm = vt
-	case ofsVSETIVLI:
-		in.Rd, in.Rs1 = reg(), uint8(rng.Intn(32))
-		vt, _ := EncodeVType(VType{SEW: 32, LMUL: 1})
-		in.Imm = vt
-	}
-	// vmv.* and friends have vs2 fixed to zero in the encoding; the decoder
-	// returns Rs2 = 0 for them, so zero it here for a faithful round-trip.
-	if r.mask&(0x1f<<20) != 0 && (r.f == ofsOPVV || r.f == ofsOPVX || r.f == ofsOPVI) {
-		in.Rs2 = 0
-	}
-	return in
-}
-
 // TestEncodeDecodeRoundTrip is the central property test: for every opcode,
 // encode(instr) must decode back to the identical Instr.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, op := range allOps() {
 		for trial := 0; trial < 64; trial++ {
-			want := randInstr(rng, op)
+			want := Legal(rng, op)
 			raw, err := Encode(want)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", op, err)
@@ -144,7 +60,7 @@ func TestDecodeUnambiguous(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, op := range allOps() {
 		for trial := 0; trial < 16; trial++ {
-			raw := MustEncode(randInstr(rng, op))
+			raw := MustEncode(Legal(rng, op))
 			matches := 0
 			for _, r := range encTable {
 				if raw&r.mask == r.match {
@@ -267,7 +183,7 @@ func TestClassify(t *testing.T) {
 func TestDisasmSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, op := range allOps() {
-		in := randInstr(rng, op)
+		in := Legal(rng, op)
 		s := Disasm(in)
 		if s == "" || s == "invalid" {
 			t.Errorf("Disasm(%v) = %q", op, s)
@@ -303,5 +219,65 @@ func TestDecodeEncodeIdempotent(t *testing.T) {
 	}
 	if decoded < 1000 {
 		t.Fatalf("only %d random words decoded; suspicious", decoded)
+	}
+}
+
+// TestEncodeRefusesOutOfRange walks the table: for every operand of every
+// op the ends of its kind's range encode and decode back, and one past
+// either end (register 32, an odd branch or jump offset) is an error —
+// Encode never masks. Generated from the table so a new kind or row is
+// covered the day it is added.
+func TestEncodeRefusesOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var seen [numKinds]bool
+	for _, r := range encTable {
+		for _, o := range r.ops {
+			if o.kind == kMask || o.role&silent != 0 {
+				continue // VM is a bool; a silent operand is not the caller's to set
+			}
+			seen[o.kind] = true
+			k := kinds[o.kind]
+			with := func(v int64) Instr {
+				in := Legal(rng, r.op)
+				in = in.with(o.field, v)
+				return in
+			}
+			for _, v := range []int64{k.lo, k.hi} {
+				in := with(v)
+				w, err := Encode(in)
+				if err != nil {
+					t.Errorf("%v: %s = %d: %v", r.op, k.name, v, err)
+				} else if got, _ := Decode(w); got != in {
+					t.Errorf("%v: %s = %d decoded back as %+v", r.op, k.name, v, got)
+				}
+			}
+			bad := []int64{k.lo - 1, k.hi + 1}
+			if k.step > 1 {
+				bad = append(bad, k.lo+1, k.hi-1)
+			}
+			for _, v := range bad {
+				in := with(v)
+				if w, err := Encode(in); err == nil {
+					t.Errorf("%v: %s = %d encoded to %#08x (%s), want an error", r.op, k.name, v, w, Disasm(in))
+				}
+			}
+		}
+	}
+	for k := kind(0); k < numKinds; k++ {
+		if !seen[k] && k != kMask {
+			t.Errorf("no op uses operand kind %q", kinds[k].name)
+		}
+	}
+	// The named case: this assembled to jalr ra, sp, 904.
+	if w, err := Encode(Instr{Op: OpJALR, Rd: RegRA, Rs1: RegSP, Imm: 5000}); err == nil {
+		t.Errorf("jalr ra, sp, 5000 encoded to %#08x", w)
+	}
+	// A value Encode never gets to see: Parse must not wrap it into the
+	// uint8 field the uimm5 lives in (256 would be a legal 0).
+	eval := func(s string) (int64, error) { return strconv.ParseInt(s, 0, 64) }
+	for _, ops := range [][]string{{"a0", "mstatus", "256"}, {"a0", "mstatus", "-256"}, {"a0", "mstatus", "4294967296"}} {
+		if in, err := Parse("csrrwi", ops, 0, eval); err == nil {
+			t.Errorf("Parse(csrrwi %v) = %+v, want an error", ops, in)
+		}
 	}
 }

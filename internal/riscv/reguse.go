@@ -37,178 +37,35 @@ func RegUsage(in Instr, lmul uint) RegUse {
 		lmul = 1
 	}
 	var u RegUse
-	r := encodeRows[in.Op]
+	r := rowOf(in.Op)
 	if r == nil {
 		return u
 	}
-	switch r.f {
-	case ofsNone:
-	case ofsR:
-		cls := in.Op.Classify()
-		switch {
-		case cls&ClassAtomic != 0:
-			u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-			u.WritesX = xbit(in.Rd)
-		case cls&ClassFloat != 0:
-			switch in.Op {
-			case OpFEQS, OpFLTS, OpFLES, OpFEQD, OpFLTD, OpFLED:
-				u.ReadsF = bit(in.Rs1) | bit(in.Rs2)
-				u.WritesX = xbit(in.Rd)
-			default:
-				u.ReadsF = bit(in.Rs1) | bit(in.Rs2)
-				u.WritesF = bit(in.Rd)
+	for _, o := range r.ops {
+		n := uint8(in.get(o.field))
+		var m uint32
+		reads, writes := &u.ReadsX, &u.WritesX
+		switch o.kind {
+		case kX, kBase:
+			m = xbit(n)
+		case kF:
+			m, reads, writes = bit(n), &u.ReadsF, &u.WritesF
+		case kV:
+			m, reads, writes = groupMask(n, lmul), &u.ReadsV, &u.WritesV
+			if o.role&elem0 != 0 {
+				m = bit(n)
 			}
-		default:
-			u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-			u.WritesX = xbit(in.Rd)
+		case kMask:
+			if !in.VM {
+				u.ReadsV |= 1 // a masked op reads the mask register v0
+			}
 		}
-	case ofsR4:
-		u.ReadsF = bit(in.Rs1) | bit(in.Rs2) | bit(in.Rs3)
-		u.WritesF = bit(in.Rd)
-	case ofsI:
-		u.ReadsX = xbit(in.Rs1)
-		if in.Op == OpFLW || in.Op == OpFLD {
-			u.WritesF = bit(in.Rd)
-		} else {
-			u.WritesX = xbit(in.Rd)
+		if o.role&read != 0 {
+			*reads |= m
 		}
-	case ofsISh6, ofsISh5:
-		u.ReadsX = xbit(in.Rs1)
-		u.WritesX = xbit(in.Rd)
-	case ofsS:
-		u.ReadsX = xbit(in.Rs1)
-		if in.Op == OpFSW || in.Op == OpFSD {
-			u.ReadsF = bit(in.Rs2)
-		} else {
-			u.ReadsX |= xbit(in.Rs2)
+		if o.role&write != 0 {
+			*writes |= m
 		}
-	case ofsB:
-		u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-	case ofsU, ofsJ:
-		u.WritesX = xbit(in.Rd)
-	case ofsCSR:
-		u.WritesX = xbit(in.Rd)
-		if in.Op == OpCSRRW || in.Op == OpCSRRS || in.Op == OpCSRRC {
-			u.ReadsX = xbit(in.Rs1)
-		}
-	case ofsRdRs1:
-		switch in.Op {
-		case OpLRW, OpLRD:
-			u.ReadsX = xbit(in.Rs1)
-			u.WritesX = xbit(in.Rd)
-		case OpFCVTWS, OpFCVTWUS, OpFCVTLS, OpFCVTLUS,
-			OpFCVTWD, OpFCVTWUD, OpFCVTLD, OpFCVTLUD,
-			OpFMVXW, OpFMVXD, OpFCLASSS, OpFCLASSD:
-			u.ReadsF = bit(in.Rs1)
-			u.WritesX = xbit(in.Rd)
-		case OpFCVTSW, OpFCVTSWU, OpFCVTSL, OpFCVTSLU,
-			OpFCVTDW, OpFCVTDWU, OpFCVTDL, OpFCVTDLU,
-			OpFMVWX, OpFMVDX:
-			u.ReadsX = xbit(in.Rs1)
-			u.WritesF = bit(in.Rd)
-		default: // fsqrt, fcvt.s.d, fcvt.d.s
-			u.ReadsF = bit(in.Rs1)
-			u.WritesF = bit(in.Rd)
-		}
-	case ofsVL:
-		u.ReadsX = xbit(in.Rs1)
-		u.WritesV = groupMask(in.Rd, lmul)
-	case ofsVS:
-		u.ReadsX = xbit(in.Rs1)
-		u.ReadsV = groupMask(in.Rd, lmul)
-	case ofsVLS:
-		u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-		u.WritesV = groupMask(in.Rd, lmul)
-	case ofsVSS:
-		u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-		u.ReadsV = groupMask(in.Rd, lmul)
-	case ofsVLX:
-		u.ReadsX = xbit(in.Rs1)
-		u.ReadsV = groupMask(in.Rs2, lmul)
-		u.WritesV = groupMask(in.Rd, lmul)
-	case ofsVSX:
-		u.ReadsX = xbit(in.Rs1)
-		u.ReadsV = groupMask(in.Rs2, lmul) | groupMask(in.Rd, lmul)
-	case ofsOPVV:
-		u.ReadsV = groupMask(in.Rs1, lmul) | groupMask(in.Rs2, lmul)
-		u.WritesV = groupMask(in.Rd, lmul)
-		if isMACC(in.Op) {
-			u.ReadsV |= groupMask(in.Rd, lmul)
-		}
-		if isReduction(in.Op) {
-			// Reductions read vs1[0] (scalar) and write vd[0] only.
-			u.ReadsV = bit(in.Rs1) | groupMask(in.Rs2, lmul)
-			u.WritesV = bit(in.Rd)
-		}
-	case ofsOPVX:
-		u.ReadsV = groupMask(in.Rs2, lmul)
-		u.WritesV = groupMask(in.Rd, lmul)
-		if isOPF(in.Op) {
-			u.ReadsF = bit(in.Rs1)
-		} else {
-			u.ReadsX = xbit(in.Rs1)
-		}
-		if isMACC(in.Op) {
-			u.ReadsV |= groupMask(in.Rd, lmul)
-		}
-		if in.Op == OpVMVVX || in.Op == OpVFMVVF {
-			u.ReadsV = 0 // vs2 field is fixed zero, not a source
-		}
-	case ofsOPVI:
-		u.ReadsV = groupMask(in.Rs2, lmul)
-		u.WritesV = groupMask(in.Rd, lmul)
-		if in.Op == OpVMVVI {
-			u.ReadsV = 0
-		}
-	case ofsOPMV:
-		switch in.Op {
-		case OpVMVXS:
-			u.ReadsV = bit(in.Rs2)
-			u.WritesX = xbit(in.Rd)
-		case OpVFMVFS:
-			u.ReadsV = bit(in.Rs2)
-			u.WritesF = bit(in.Rd)
-		default: // vfsqrt.v
-			u.ReadsV = groupMask(in.Rs2, lmul)
-			u.WritesV = groupMask(in.Rd, lmul)
-		}
-	case ofsOPSX:
-		u.WritesV = bit(in.Rd)
-		if in.Op == OpVFMVSF {
-			u.ReadsF = bit(in.Rs1)
-		} else {
-			u.ReadsX = xbit(in.Rs1)
-		}
-	case ofsOPMVV: // vid.v
-		u.WritesV = groupMask(in.Rd, lmul)
-	case ofsVSETVLI:
-		u.ReadsX = xbit(in.Rs1)
-		u.WritesX = xbit(in.Rd)
-	case ofsVSETIVLI:
-		u.WritesX = xbit(in.Rd)
-	case ofsVSETVL:
-		u.ReadsX = xbit(in.Rs1) | xbit(in.Rs2)
-		u.WritesX = xbit(in.Rd)
-	}
-	// A masked vector op also reads the mask register v0.
-	if !in.VM && in.Op.IsVector() {
-		u.ReadsV |= 1
 	}
 	return u
-}
-
-func isMACC(op Op) bool {
-	switch op {
-	case OpVMACCVV, OpVMACCVX, OpVFMACCVV, OpVFMACCVF, OpVFNMSACVV:
-		return true
-	}
-	return false
-}
-
-func isReduction(op Op) bool {
-	switch op {
-	case OpVREDSUMVS, OpVREDMAXVS, OpVFREDUSUMVS, OpVFREDOSUMVS:
-		return true
-	}
-	return false
 }
