@@ -41,14 +41,21 @@ lint:
 lint-flow:
 	$(GO) run ./cmd/coyotelint -run keytaint,specwrite,globalmut ./...
 
+# go vet, then the gofmt gate: no Go file outside testdata/ (lint and
+# fuzz fixtures, laid out as their tests need) may need formatting.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # The uncore line is the MSHR back-pressure microbenchmark (DESIGN.md §6):
-# 0 allocs/op, and ns/waited-cycle falling as the waiting list grows.
+# 0 allocs/op, and ns/waited-cycle falling as the waiting list grows. The
+# cpu line is the line-granular unit-stride vector path, which fails on any
+# allocation per op.
 bench-smoke:
 	$(GO) test -bench 'Fig3|RunLoop128Stalled' -benchtime 1x -run '^$$' ./
 	$(GO) test -bench 'MSHRSaturated' -benchtime 1x -benchmem -run '^$$' ./internal/uncore/
+	$(GO) test -bench 'VectorUnitStride' -benchtime 1x -benchmem -run '^$$' ./internal/cpu/
 
 # Superblock engine microbenchmarks: block-cached stepping vs the
 # single-step reference path, plus the 0 allocs/op pin on StepBlock.

@@ -124,6 +124,7 @@ func VerifyKernel(sys *System, name string, p Params) error {
 }
 
 // RunKernel prepares, runs and verifies a built-in kernel in one call.
+//
 //coyote:globalfree
 func RunKernel(name string, p Params, cfg Config) (*Result, error) {
 	if p.Cores == 0 {
@@ -206,6 +207,7 @@ func KeyForPoint(kernel string, p Params, cfg Config) (CacheKey, error) {
 // compute path); hits were verified when first computed, and the
 // cache's verify sampling (ResultCache.SetVerify) can re-prove any
 // fraction of them on top.
+//
 //coyote:globalfree
 func RunKernelCached(name string, p Params, cfg Config, c *ResultCache) (*Result, CacheStatus, error) {
 	if c == nil {

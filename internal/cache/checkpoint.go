@@ -1,17 +1,18 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/coyote-sim/coyote/internal/ckpt"
 )
 
 // archive is the cache's layout in a checkpoint: LRU clock, statistics,
-// then every line as (tag, valid, dirty, LRU stamp). The mru memo is not
-// part of it: it is rebuilt lazily and always holds its set's maximum LRU
-// stamp, so dropping it cannot change any victim choice (see the mru
-// field comment). Loading resynchronizes the shadow directory (coyotesan
-// builds) to the restored residency.
+// then every line as one lineRecord. The mru memo is not part of it: it is
+// rebuilt lazily and always holds its set's maximum LRU stamp, so dropping
+// it cannot change any victim choice (see the mru field comment). Loading
+// resynchronizes the shadow directory (coyotesan builds) to the restored
+// residency.
 func (c *Cache) archive(a *ckpt.Archive) {
 	a.U64(&c.clock)
 	a.U64(&c.Stats.Hits)
@@ -19,6 +20,7 @@ func (c *Cache) archive(a *ckpt.Archive) {
 	a.U64(&c.Stats.Evictions)
 	a.U64(&c.Stats.Writebacks)
 	a.Len(len(c.sets), "cache lines")
+	recs := a.Records(len(c.sets), lineRecord)
 	if a.Err() != nil {
 		return
 	}
@@ -26,24 +28,36 @@ func (c *Cache) archive(a *ckpt.Archive) {
 		c.san.Reset()
 	}
 	for i := range c.sets {
-		l := &c.sets[i]
-		tag, valid, dirty := l.tag(), l.valid(), l.dirty()
-		a.U64(&tag)
-		a.Bool(&valid)
-		a.Bool(&dirty)
-		a.U64(&l.lru)
+		l, r := &c.sets[i], recs[i*lineRecord:(i+1)*lineRecord]
 		if !a.Loading() {
+			binary.LittleEndian.PutUint64(r, l.tag())
+			r[8], r[9] = flagByte(l.valid()), flagByte(l.dirty())
+			binary.LittleEndian.PutUint64(r[10:], l.lru)
 			continue
 		}
+		if r[8] > 1 || r[9] > 1 {
+			a.Failf("cache: line %d has valid and dirty bytes %#x %#x, want 0 or 1", i, r[8], r[9])
+			return
+		}
+		tag := binary.LittleEndian.Uint64(r)
+		l.lru = binary.LittleEndian.Uint64(r[10:])
 		l.tv = 0
-		if valid {
-			l.tv = tag<<2 | lineValid
-			if dirty {
-				l.tv |= lineDirty
-			}
+		if r[8] == 1 {
+			l.tv = tag<<2 | lineValid | uint64(r[9])*lineDirty
 			c.san.Install(c.clock, tag)
 		}
 	}
+}
+
+// lineRecord is a line's size in a checkpoint: tag(8), valid(1), dirty(1),
+// LRU stamp(8), little-endian.
+const lineRecord = 18
+
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Checkpoint writes the cache to w. A checkpoint may only be taken outside

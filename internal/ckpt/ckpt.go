@@ -208,6 +208,23 @@ func (a *Archive) Len(n int, what string) {
 	}
 }
 
+// Records archives n records of size bytes each as one block with no
+// count in front: like Len's structure, n is fixed by the machine's
+// configuration. Saving, it appends n×size zero bytes to the image and
+// returns them for the caller to encode into; loading, it returns the next
+// n×size bytes for the caller to decode, or nil — consuming nothing — when
+// fewer are left or an error already stands. A component whose per-field
+// accessor calls dominate its save and restore (a cache's tag store)
+// encodes its fixed-layout records through it in one pass.
+func (a *Archive) Records(n, size int) []byte {
+	if a.r != nil {
+		return a.next(n * size)
+	}
+	at := len(a.w.buf)
+	a.w.buf = append(a.w.buf, make([]byte, n*size)...)
+	return a.w.buf[at:]
+}
+
 // length archives an element count. It is the one place a count is read:
 // a count the bytes left could not hold at minElemBytes apiece is refused,
 // so a corrupt or hostile image costs an error, never an allocation or a

@@ -137,3 +137,44 @@ func TestErrorsAreSticky(t *testing.T) {
 		t.Errorf("first error replaced by %v", a.Err())
 	}
 }
+
+// TestRecordsBlock: saving, Records appends zeroed space for the caller to
+// encode into; loading, it hands back those bytes in place. A block the
+// image is too short for is refused, consuming nothing.
+func TestRecordsBlock(t *testing.T) {
+	var w Writer
+	head, tail := uint8(7), uint8(9)
+	a := Saving(&w)
+	a.U8(&head)
+	blk := a.Records(3, 4)
+	for i, b := range blk {
+		if b != 0 {
+			t.Fatalf("saved block byte %d is %#x, want zero space", i, b)
+		}
+		blk[i] = byte(i + 1)
+	}
+	a.U8(&tail)
+	img := w.Bytes()
+	if len(img) != 1+12+1 {
+		t.Fatalf("image is %d bytes, want 14", len(img))
+	}
+
+	var h, tl uint8
+	l := Loading(NewReader(img))
+	l.U8(&h)
+	got := l.Records(3, 4)
+	l.U8(&tl)
+	if l.Err() != nil || h != 7 || tl != 9 || string(got) != string(img[1:13]) {
+		t.Fatalf("loaded %d, %v, %d (err %v)", h, got, tl, l.Err())
+	}
+
+	r := NewReader(img[:12])
+	short := Loading(r)
+	short.U8(&h)
+	if got := short.Records(3, 4); got != nil || short.Err() == nil || !strings.Contains(short.Err().Error(), "truncated") {
+		t.Fatalf("block past the image's end: got %v, error %v", got, short.Err())
+	}
+	if r.Remaining() != 11 {
+		t.Errorf("the refused block consumed %d bytes", 11-r.Remaining())
+	}
+}

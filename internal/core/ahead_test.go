@@ -211,6 +211,10 @@ _start:
 	vadd.vv v24, v16, v8
 ` + exitNoCSR, nil},
 
+	// Two lanes: every vector op of vl 16 occupies the core for 8 cycles,
+	// which a look-ahead visit takes in one.
+	{"vector-lanes-2", 2, lanesProg, twoLanes},
+
 	// The hart halts on the instruction right behind a look-ahead.
 	{"halt-after-ahead", 2, `
 _start:
@@ -384,5 +388,85 @@ bad:
 	}
 	if got := s.Harts[1].Stats.Instret; got > s.Cycle()+maxAhead {
 		t.Errorf("hart 1 retired %d instructions by the fault at cycle %d: more than %d ahead", got, s.Cycle(), maxAhead)
+	}
+}
+
+// lanesProg keeps each hart's core occupied most of the time under
+// twoLanes: twelve vector ops of vl 16, with register-only work between.
+const lanesProg = `
+_start:
+	li   a0, 16
+	vsetvli t0, a0, e64, m1, ta, ma
+	vmv.v.i v8, 1
+	li   s0, 6
+loop:
+	vadd.vv v16, v8, v8
+	addi t1, t1, 1
+	addi t1, t1, 1
+	vadd.vv v8, v16, v8
+	addi s0, s0, -1
+	bnez s0, loop
+` + exitNoCSR
+
+func twoLanes(c *Config) { c.Hart.VectorLanes = 2 }
+
+// TestBusyWindowStops: a visit that finds the core occupied is the only
+// one the busy window costs, and a RunTo stop at any cycle — inside a
+// window included — leaves every hart where the reference engine ticked a
+// cycle at a time has it, and the run resumed from there ends the same.
+func TestBusyWindowStops(t *testing.T) {
+	p := mustAsm(t, lanesProg)
+	// The oracle, with each hart's checkpoint bytes at every stop.
+	s := newSystem(t, 2, twoLanes, func(c *Config) { c.Hart.DisableBlockCache = true })
+	tr := &fullTracer{}
+	s.Tracer = tr
+	s.LoadProgram(p)
+	var at [][][]byte
+	var final *Result
+	for c := uint64(1); final == nil; c++ {
+		res, stopped, err := s.RunTo(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stopped {
+			final = res
+		}
+		at = append(at, finish(t, s, res, tr).harts)
+	}
+	want := finish(t, s, final, tr)
+
+	got := runAhead(t, 2, p, twoLanes)
+	sameOutcome(t, got, want)
+	var busy uint64
+	for _, hs := range got.res.HartStats {
+		busy += hs.BusyCycles
+	}
+	if busy < 100 || got.res.Host.Visits >= busy {
+		t.Errorf("%d visits for %d busy cycles: a busy window should cost one visit, not one per cycle",
+			got.res.Host.Visits, busy)
+	}
+
+	for stop := uint64(1); stop < final.Cycles; stop++ {
+		s := newSystem(t, 2, twoLanes)
+		tr := &fullTracer{}
+		s.Tracer = tr
+		s.LoadProgram(p)
+		res, stopped, err := s.RunTo(stop)
+		if err != nil || !stopped {
+			t.Fatalf("RunTo(%d): stopped %v, %v", stop, stopped, err)
+		}
+		for i, b := range finish(t, s, res, tr).harts {
+			if !bytes.Equal(b, at[stop-1][i]) {
+				t.Fatalf("stop at %d: hart %d differs from the oracle's (busy until %d)", stop, i, s.Harts[i].BusyUntil())
+			}
+		}
+		res, err = s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutcome(t, finish(t, s, res, tr), want)
+		if t.Failed() {
+			t.Fatalf("resumed from a stop at %d", stop)
+		}
 	}
 }

@@ -57,7 +57,7 @@ type ParStats struct {
 // happens-before edges the race detector checks.
 type parState struct {
 	workers int
-	list    []int         // runnable hart indices this cycle, ascending
+	list    []int            // runnable hart indices this cycle, ascending
 	outcome []cpu.StepResult // each hart's speculative quantum result, indexed like list
 	stats   ParStats
 
@@ -148,6 +148,7 @@ func (s *System) runShard(w int) {
 // hart itself. Dispatch is deferred to the commit walk; the events simply
 // pile up in the hart's buffer in program order, which is the same
 // per-hart contiguous order the sequential loop dispatches them in.
+//
 //coyote:specphase
 func (s *System) specStepHart(k int) {
 	par := &s.par

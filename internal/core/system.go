@@ -63,12 +63,15 @@ type System struct {
 	// dense so that passing over a hart that is not due touches no Hart.
 	// A sequential InterleaveQuantum-1 visit at cycle c that retires n
 	// instructions — its own and n-1 looked ahead into (cpu.StepAhead) —
-	// sets due to c+n. Workers > 1, InterleaveQuantum > 1 and the reference
-	// engine keep one visit a cycle (due = c+1) and gain only the clock
-	// jump over cycles in which nothing is due. A wake-up makes its hart
-	// due the next cycle. Not checkpointed: at every stop due ≤ cycle for
-	// all harts, which is all a restored run needs to know. minDue is the
-	// earliest due among the runnable harts, noStop when there are none.
+	// sets due to c+n, and one that finds the core occupied by a vector op
+	// sets it to the cycle the core frees, or to aheadLimit if that is
+	// nearer. Workers > 1, InterleaveQuantum > 1, an instruction bound and
+	// the reference engine keep one visit a cycle (due = c+1) and gain only
+	// the clock jump over cycles in which nothing is due. A wake-up makes
+	// its hart due the next cycle. Not checkpointed: at every stop due ≤
+	// cycle for all harts, which is all a restored run needs to know. minDue
+	// is the earliest due among the runnable harts, noStop when there are
+	// none.
 	due    []uint64
 	minDue uint64
 
@@ -568,8 +571,14 @@ func (s *System) stepHart(i int, h *cpu.Hart) error {
 	}
 	s.host.Visits++
 	s.due[i] = s.cycle + 1
-	if h.BusyUntil() > s.cycle {
-		h.Stats.BusyCycles++ // occupied, but will free itself
+	if busy := h.BusyUntil(); busy > s.cycle {
+		// Occupied, but will free itself. Where harts run ahead, the visits
+		// that would only count the busy cycles one at a time are taken in
+		// one, never past the cycle this call can stop at.
+		if s.aheadSpan > 1 {
+			s.due[i] = min(busy, s.aheadLimit)
+		}
+		h.Stats.BusyCycles += s.due[i] - s.cycle
 		return nil
 	}
 	if !h.BlockEngineEnabled() {

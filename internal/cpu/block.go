@@ -321,8 +321,9 @@ func (h *Hart) StepAhead(now, limit uint64) (int, StepResult) {
 		!h.lastFetchValid || h.L1I.LineAddr(h.PC) != h.lastFetchLine {
 		// Anything but a hot opcode on the line already fetched takes the
 		// general path. No look-ahead behind an instruction that halted the
-		// hart, occupies the core past the next cycle (its busy cycles are
-		// counted a visit each) or took the fetched line away (fence.i).
+		// hart, occupies the core past the next cycle (the next visit finds
+		// the core busy and counts its busy cycles) or took the fetched line
+		// away (fence.i).
 		n, res := h.StepBlock(now, 1)
 		if n == 0 || h.Halted || h.busyUntil > now+1 || !h.lastFetchValid {
 			return n, res

@@ -125,4 +125,8 @@ func (r *Reservations) archive(a *ckpt.Archive) {
 func (r *Reservations) Checkpoint(w *ckpt.Writer) error { return ckpt.Saving(w).Do(r.archive) }
 
 // Restore reloads a reservation set of identical size.
-func (r *Reservations) Restore(rd *ckpt.Reader) error { return ckpt.Loading(rd).Do(r.archive) }
+func (r *Reservations) Restore(rd *ckpt.Reader) error {
+	err := ckpt.Loading(rd).Do(r.archive)
+	r.live = r.valids()
+	return err
+}

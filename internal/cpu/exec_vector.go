@@ -158,6 +158,9 @@ func (h *Hart) executeVMem(in riscv.Instr) StepResult {
 	switch in.Op {
 	case riscv.OpVLE8, riscv.OpVLE16, riscv.OpVLE32, riscv.OpVLE64,
 		riscv.OpVSE8, riscv.OpVSE16, riscv.OpVSE32, riscv.OpVSE64:
+		if in.VM && h.unitStride(in.Rd, base, uint64(in.Op.ElemBytes()), isStore) {
+			return StepExecuted
+		}
 		for i := uint64(0); i < h.VL; i++ {
 			if !active(h, in.VM, i) {
 				continue
@@ -227,6 +230,44 @@ func (h *Hart) executeVMem(in riscv.Instr) StepResult {
 		}
 	}
 	return StepExecuted
+}
+
+// unitStride is the line-granular form of an unmasked unit-stride access
+// of vl elements of eb bytes at base: the bytes move between register
+// group vreg and memory in one copy per page, and each cache line an
+// element starts in — LineAddr(base) through the line of the last
+// element's first byte, ascending — gets one L1D access and one
+// reservation kill. Those are exactly the lines, order, statistics and
+// events the per-element path's line dedup produces. It reports false,
+// having done nothing, where the per-element path must run: under armed
+// speculation (which logs every element's read or write), in functional
+// warming (whose line filter works per element), at vl 0, when the
+// elements wrap the address space, or when the group runs past the
+// register file.
+func (h *Hart) unitStride(vreg uint8, base, eb uint64, isStore bool) bool {
+	n := h.VL * eb
+	off := uint64(vreg) * uint64(h.VLenB)
+	last := base + n - eb
+	if h.spec.active || h.warmLine != nil || n == 0 || last < base || off+n > uint64(len(h.V)) {
+		return false
+	}
+	if isStore {
+		//coyote:specwrite-ok armed speculation returned above: its stores take the per-element path, which journals them
+		h.Mem.WriteBytes(base, h.V[off:off+n])
+	} else {
+		h.Mem.ReadInto(base, h.V[off:off+n])
+	}
+	h.Stats.ElemAccesses += h.VL
+	end := h.L1D.LineAddr(last)
+	for line := h.L1D.LineAddr(base); ; line += uint64(h.L1D.LineBytes()) {
+		h.lineAccess(line, isStore, RegV, vreg, !isStore)
+		if isStore {
+			h.storeInvalidate(line)
+		}
+		if line == end {
+			return true
+		}
+	}
 }
 
 // transferElem moves one element between vector register elements and

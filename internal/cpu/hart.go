@@ -120,6 +120,10 @@ type Stats struct {
 type Reservations struct {
 	line  []uint64
 	valid []bool
+	// live counts the set valid flags, so that a store while no
+	// reservation is held — every store of a kernel without LR/SC — costs
+	// one compare instead of a scan over the harts.
+	live int
 }
 
 // NewReservations sizes the set for n harts.
@@ -129,14 +133,22 @@ func NewReservations(n int) *Reservations {
 
 //coyote:specwrite-ok reservation state is replay-deterministic: an aborted quantum re-runs the same LR sequence, and cross-hart invalidation is deferred while speculation is armed (see spec.go)
 func (r *Reservations) set(hart int, line uint64) {
+	if !r.valid[hart] {
+		r.live++
+	}
 	r.line[hart] = line
 	r.valid[hart] = true
+	r.sanCheckLive()
 }
 
 //coyote:specwrite-ok reservation state is replay-deterministic: an aborted quantum re-runs the same SC sequence (see spec.go)
 func (r *Reservations) check(hart int, line uint64) bool {
 	ok := r.valid[hart] && r.line[hart] == line
+	if r.valid[hart] {
+		r.live--
+	}
 	r.valid[hart] = false // SC always clears the reservation
+	r.sanCheckLive()
 	return ok
 }
 
@@ -145,10 +157,33 @@ func (r *Reservations) check(hart int, line uint64) bool {
 //
 //coyote:specwrite-ok commit-phase helper: the spec layer defers store invalidation until the quantum commits (see spec.go storeInvalidate)
 func (r *Reservations) invalidateStores(storer int, line uint64) {
-	for i := range r.valid {
+	for i := 0; r.live > 0 && i < len(r.valid); i++ {
 		if i != storer && r.valid[i] && r.line[i] == line {
 			r.valid[i] = false
+			r.live--
 		}
+	}
+	r.sanCheckLive()
+}
+
+// valids counts the set valid flags: what live must equal.
+func (r *Reservations) valids() int {
+	n := 0
+	for _, v := range r.valid {
+		if v {
+			n++
+		}
+	}
+	return n
+}
+
+// sanCheckLive checks, in the coyotesan build, that live counts the valid
+// flags.
+func (r *Reservations) sanCheckLive() {
+	if san.Enabled {
+		n := r.valids()
+		san.Check(r.live == n, 0, "cpu.reservations",
+			"live reservation count disagrees with the valid flags", uint64(r.live), uint64(n))
 	}
 }
 
@@ -588,29 +623,36 @@ func (h *Hart) dataAccess(addrs []uint64, write bool, dest RegKind, destReg uint
 			continue
 		}
 		h.lineScratch = append(h.lineScratch, line)
-		res := h.L1D.Access(a, write)
-		if res.HasWriteback {
-			h.Stats.Writebacks++
-			h.emit(MemEvent{Addr: res.Writeback, Write: true})
-		}
-		if !res.Hit {
-			if write {
-				h.Stats.StoreMisses++
-				// Write-allocate: the line must still be fetched, but no
-				// register depends on it; model as a read request without
-				// a destination (the store buffer hides the latency).
-				h.emit(MemEvent{Addr: line})
-			} else {
-				h.Stats.LoadMisses++
-				ev := MemEvent{Addr: line}
-				if hasDest {
-					ev.HasDest = true
-					ev.Dest = dest
-					ev.DestReg = destReg
-					h.markPending(dest, destReg)
-				}
-				h.emit(ev)
+		h.lineAccess(line, write, dest, destReg, hasDest)
+	}
+}
+
+// lineAccess runs one cache line of a timed data access through the L1D:
+// the access itself, then any writeback event, then the miss event, with
+// the destination register marked pending on a load miss.
+func (h *Hart) lineAccess(line uint64, write bool, dest RegKind, destReg uint8, hasDest bool) {
+	res := h.L1D.Access(line, write)
+	if res.HasWriteback {
+		h.Stats.Writebacks++
+		h.emit(MemEvent{Addr: res.Writeback, Write: true})
+	}
+	if !res.Hit {
+		if write {
+			h.Stats.StoreMisses++
+			// Write-allocate: the line must still be fetched, but no
+			// register depends on it; model as a read request without
+			// a destination (the store buffer hides the latency).
+			h.emit(MemEvent{Addr: line})
+		} else {
+			h.Stats.LoadMisses++
+			ev := MemEvent{Addr: line}
+			if hasDest {
+				ev.HasDest = true
+				ev.Dest = dest
+				ev.DestReg = destReg
+				h.markPending(dest, destReg)
 			}
+			h.emit(ev)
 		}
 	}
 }

@@ -384,7 +384,7 @@ func (h *Hart) specSaveV(mask uint32) {
 		r := uint8(bits.TrailingZeros32(m))
 		m &^= 1 << r
 		sp.vSavedMask |= 1 << r
-		sp.vSaveReg = append(sp.vSaveReg, r)                                                //coyote:alloc-ok pooled save list; grows to ≤32 entries once, reused for the rest of the run
+		sp.vSaveReg = append(sp.vSaveReg, r)                                                       //coyote:alloc-ok pooled save list; grows to ≤32 entries once, reused for the rest of the run
 		sp.vSave = append(sp.vSave, h.V[uint64(r)*uint64(h.VLenB):uint64(r+1)*uint64(h.VLenB)]...) //coyote:alloc-ok pooled register-save arena; bounded by 32×VLenB, reused for the rest of the run
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// wantRe extracts analysistest-style expectations: a comment of the form
-// `// want `regexp`` on the line the diagnostic must land on. Multiple
-// wants may share a line.
+// wantRe extracts analysistest-style expectations: a "// want" comment
+// followed by a regexp in backquotes, on the line the diagnostic must land
+// on. Multiple wants may share a line.
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
 func loadFixture(t *testing.T, pkg string, overlay map[string][]byte) *Program {

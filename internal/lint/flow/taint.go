@@ -436,10 +436,10 @@ func (e *taintEngine) analyze(fn *Func) {
 	before := sum.size()
 
 	sc := &funcScope{
-		e:       e,
-		fn:      fn,
-		info:    fn.Pkg.Info,
-		aliases: BuildAliases(fn.Pkg.Info, fn.Decl.Body),
+		e:         e,
+		fn:        fn,
+		info:      fn.Pkg.Info,
+		aliases:   BuildAliases(fn.Pkg.Info, fn.Decl.Body),
 		params:    map[types.Object]int{},
 		cells:     map[types.Object]tval{},
 		readCache: map[types.Object]map[string]tval{},

@@ -22,9 +22,13 @@ const pageMask = PageSize - 1
 // number. One entry is not enough: any access pattern touching two pages
 // alternately (a matmul row walk against its output vector, a stack frame
 // against a heap array) thrashes it and pays the map lookup on every
-// access. 64 entries cover the working set of every kernel in the suite.
+// access. 4096 entries map 16 MiB, every page a suite kernel touches, so
+// the page map is hashed on a page's first touch and on a conflict only;
+// a table that maps less than a kernel's arrays pays that hash on most of
+// its accesses. The table is 64 KiB, once per Memory. A View keeps its
+// own, smaller table (view.go).
 const (
-	lookasideBits = 6
+	lookasideBits = 12
 	lookasideSize = 1 << lookasideBits //coyote:mut-survivor equivalent: host-side memo capacity; entries are tag-checked, so size affects only lookup speed, never results
 	lookasideMask = lookasideSize - 1
 )
@@ -151,16 +155,27 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 // ReadBytes copies n bytes starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(addr + uint64(i))
-	}
+	m.ReadInto(addr, out)
 	return out
 }
 
-// WriteBytes stores b starting at addr.
+// ReadInto fills dst with the bytes starting at addr, one copy per page.
+// Like the narrow loads it populates every page it reads, and an address
+// past the top of the space wraps to 0.
+func (m *Memory) ReadInto(addr uint64, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, m.pageFor(addr)[addr&pageMask:])
+		dst = dst[n:]
+		addr += uint64(n)
+	}
+}
+
+// WriteBytes stores b starting at addr, one copy per page.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		m.Write8(addr+uint64(i), v)
+	for len(b) > 0 {
+		n := copy(m.pageFor(addr)[addr&pageMask:], b)
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestReadWriteWidths(t *testing.T) {
@@ -94,15 +95,39 @@ func TestFloat64(t *testing.T) {
 	}
 }
 
+// TestBytes: the bulk accessors agree with the byte accessors within a
+// page and across a boundary, and populate every page they touch, reads
+// included, as the narrow accessors do.
 func TestBytes(t *testing.T) {
-	m := New()
 	in := []byte{9, 8, 7, 6, 5}
-	m.WriteBytes(0x10, in)
-	out := m.ReadBytes(0x10, len(in))
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("byte %d: got %d want %d", i, out[i], in[i])
+	for _, c := range []struct {
+		addr  uint64
+		pages int
+	}{{0x10, 1}, {PageSize - 3, 2}} {
+		m := New()
+		m.WriteBytes(c.addr, in)
+		out := m.ReadBytes(c.addr, len(in))
+		for i := range in {
+			if in[i] != out[i] || m.Read8(c.addr+uint64(i)) != in[i] {
+				t.Fatalf("addr %#x byte %d: got %d want %d", c.addr, i, out[i], in[i])
+			}
 		}
+		if m.Pages() != c.pages {
+			t.Errorf("addr %#x: %d pages after the write, want %d", c.addr, m.Pages(), c.pages)
+		}
+		fresh := New()
+		fresh.ReadInto(c.addr, out)
+		if fresh.Pages() != c.pages || out[0] != 0 {
+			t.Errorf("addr %#x: a read of untouched memory populated %d pages and read %d, want %d and 0", c.addr, fresh.Pages(), out[0], c.pages)
+		}
+	}
+}
+
+// TestViewStaysSmall: every hart carries a View for speculation, so the
+// View's lookaside must not grow with the Memory's.
+func TestViewStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(View{}); n > 2<<10 {
+		t.Errorf("a View is %d bytes, want at most 2 KiB", n)
 	}
 }
 

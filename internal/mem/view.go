@@ -13,11 +13,18 @@ import "encoding/binary"
 //
 // A View must not be used across a Memory.Reset (the cached page pointers
 // would go stale); the simulator never resets memory mid-run.
+//
+// Every hart holds a View for speculation, so its lookaside stays at 64
+// entries (1 KiB) rather than the Memory's 4096: speculation reads a
+// quantum's worth of addresses, and a 128-hart system would otherwise carry
+// 8 MiB of view tables.
 type View struct {
 	m *Memory
 
-	look [lookasideSize]lookEntry
+	look [viewLookSize]lookEntry
 }
+
+const viewLookSize = 64 //coyote:mut-survivor equivalent: host-side memo capacity; entries are tag-checked, so size affects only lookup speed, never results
 
 // NewView returns a read-only view of m.
 func (m *Memory) NewView() View { return View{m: m} }
@@ -27,7 +34,7 @@ func (m *Memory) NewView() View { return View{m: m} }
 // through the owning Memory becomes visible to the view.
 func (v *View) peek(addr uint64) *page {
 	base := addr &^ pageMask
-	e := &v.look[addr>>PageBits&lookasideMask]
+	e := &v.look[addr>>PageBits&(viewLookSize-1)]
 	if e.p != nil && e.base == base {
 		return e.p
 	}

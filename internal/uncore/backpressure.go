@@ -212,9 +212,9 @@ func (b *L2Bank) countRefused(write bool, n uint64) {
 // it out — the bank refuses it, and neither its MSHR set nor its tag
 // residency moves (a refusal that evicted nothing).
 func (b *L2Bank) examineSkippable(req Request, now evsim.Cycle) {
-	inflight, evictions := len(b.mshr), b.tags.Stats.Evictions
+	inflight, evictions := b.mshr.n, b.tags.Stats.Evictions
 	accepted := b.handle(req)
-	san.Check(!accepted && len(b.mshr) == inflight && b.tags.Stats.Evictions == evictions,
+	san.Check(!accepted && b.mshr.n == inflight && b.tags.Stats.Evictions == evictions,
 		now, "l2bank.waiting",
 		"waiting request skipped as unchanged would have changed the bank (a change that did not bump L2Bank.gen)",
 		req.Addr, b.gen)

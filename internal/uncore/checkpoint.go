@@ -135,18 +135,32 @@ func (u *Uncore) archiveWaiter(a *ckpt.Archive, wt *waiter) {
 
 func (b *L2Bank) archive(a *ckpt.Archive) {
 	a.Sub(b.tags, "tags")
-	ckpt.Map(a, &b.mshr, 17, func(a *ckpt.Archive, addr uint64, e *mshrEntry) {
+	// The MSHR table is archived as the map from line address to entry it
+	// stands for, in ckpt.Map's layout; loading refills the table in
+	// increasing address order.
+	t, capacity := &b.mshr, b.u.cfg.L2MSHRs
+	if a.Loading() {
+		*t = newMSHRTable(capacity)
+	}
+	m := make(map[uint64]mshrEntry, t.n)
+	for i, k := range t.key {
+		if k != 0 {
+			m[k&^1] = t.ent[i]
+		}
+	}
+	ckpt.Map(a, &m, 17, func(a *ckpt.Archive, addr uint64, e *mshrEntry) {
 		a.U8((*uint8)(&e.state))
 		ckpt.Slice(a, &e.waiters, doneBytes, b.u.archiveDone)
 		if e.state != mshrDemand && e.state != mshrPrefetch {
 			a.Failf("checkpoint MSHR %#x has invalid state %d", addr, e.state)
 		}
-		if a.Loading() {
+		if a.Loading() && t.n < capacity { // an entry past capacity is refused below
+			t.insert(addr, *e)
 			b.san.Insert(b.u.eng.Now(), addr)
 		}
 	})
-	if len(b.mshr) > b.u.cfg.L2MSHRs {
-		a.Failf("checkpoint has %d MSHR entries, capacity is %d", len(b.mshr), b.u.cfg.L2MSHRs)
+	if len(m) > capacity {
+		a.Failf("checkpoint has %d MSHR entries, capacity is %d", len(m), capacity)
 	}
 	b.u.archivePort(a, b.localIn, "local port")
 	b.u.archivePort(a, b.remoteIn, "remote port")

@@ -25,6 +25,85 @@ type mshrEntry struct {
 	waiters []Done
 }
 
+// mshrTable is a bank's in-flight misses, in an open-addressed hash table
+// allocated at construction with at least twice L2MSHRs slots, so that
+// neither an arrival nor a fill allocates. key holds line address | 1 in
+// a used slot (line addresses are line-aligned, so bit 0 is free to mark
+// occupancy) and 0 in a free one; ent holds the entries, slot for slot.
+// A line's home slot is a multiplicative hash of its address — a bank's
+// lines share their low line-number bits under set interleaving — and
+// collisions probe linearly; at most half the slots are used, so a lookup
+// reads one or two. Slot order means nothing: lookups go by address, and a
+// checkpoint archives the entries as a map from address to entry.
+type mshrTable struct {
+	key   []uint64
+	ent   []mshrEntry
+	shift uint // 64 − log2(len(key)): home takes the hash's top bits
+	n     int
+}
+
+func newMSHRTable(capacity int) mshrTable {
+	t := mshrTable{shift: 63}
+	for 1<<(64-t.shift) < 2*capacity {
+		t.shift--
+	}
+	size := 1 << (64 - t.shift)
+	t.key, t.ent = make([]uint64, size), make([]mshrEntry, size)
+	return t
+}
+
+func (t *mshrTable) home(addr uint64) int {
+	return int(addr * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+func (t *mshrTable) next(i int) int { return (i + 1) & (len(t.key) - 1) }
+
+// find returns the slot of line addr, or -1 when it is not in flight.
+func (t *mshrTable) find(addr uint64) int {
+	for i := t.home(addr); ; i = t.next(i) {
+		switch t.key[i] {
+		case addr | 1:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// insert makes addr in flight; the caller has checked that it is not, and
+// that fewer than L2MSHRs entries are.
+func (t *mshrTable) insert(addr uint64, e mshrEntry) {
+	i := t.home(addr)
+	for t.key[i] != 0 {
+		i = t.next(i)
+	}
+	t.key[i], t.ent[i] = addr|1, e
+	t.n++
+}
+
+// release takes addr out of flight and returns its entry — the zero entry
+// if it was not in flight, which coyotesan's shadow table reports. The
+// entries probing past the freed slot move back into it (deletion without
+// tombstones), so every lookup still ends at its first free slot.
+func (t *mshrTable) release(addr uint64) mshrEntry {
+	hole := t.find(addr)
+	if hole < 0 {
+		return mshrEntry{}
+	}
+	e := t.ent[hole]
+	t.n--
+	for i := t.next(hole); t.key[i] != 0; i = t.next(i) {
+		// The entry at i may fill the hole unless its home lies cyclically
+		// in (hole, i]: it would then sit before its home.
+		if h := t.home(t.key[i] &^ 1); (i-h)&(len(t.key)-1) >= (i-hole)&(len(t.key)-1) {
+			t.key[hole], t.ent[hole] = t.key[i], t.ent[i]
+			hole = i
+		}
+	}
+	t.key[hole], t.ent[hole] = 0, mshrEntry{}
+	return e
+}
+
 // L2Bank is one bank of the L2 cache: a tag array with MSHRs. Misses are
 // merged per line; when the MSHR table is full the request is refused
 // (counted as a conflict, the back-pressure the paper's "maximum number of
@@ -49,7 +128,7 @@ type L2Bank struct {
 	localIn  *evsim.Port[Request]
 	remoteIn *evsim.Port[Request]
 
-	mshr map[uint64]mshrEntry // line → in-flight miss state
+	mshr mshrTable
 	san  san.MSHR
 
 	waiterPool [][]Done
@@ -93,7 +172,7 @@ func newL2Bank(id, tile int, u *Uncore) (*L2Bank, error) {
 		tile: tile,
 		u:    u,
 		tags: tags,
-		mshr: make(map[uint64]mshrEntry),
+		mshr: newMSHRTable(u.cfg.L2MSHRs),
 	}
 	b.san.Init(fmt.Sprintf("l2bank%d.mshr", id), u.cfg.L2MSHRs)
 	tags.SetSanName(fmt.Sprintf("l2bank%d.tags", id))
@@ -200,16 +279,16 @@ func (b *L2Bank) handle(req Request) bool {
 	// A line already being fetched: merge reads into the MSHR; writes to
 	// an in-flight line simply ride along (the fill will leave the line
 	// present; we conservatively mark it dirty by re-accessing on fill).
-	if e, inflight := b.mshr[req.Addr]; inflight {
+	if i := b.mshr.find(req.Addr); i >= 0 {
 		b.mshrMerges++
 		b.san.Merge(b.u.eng.Now(), req.Addr)
 		if req.Done.F != nil {
+			e := &b.mshr.ent[i]
 			if e.waiters == nil {
 				e.waiters = b.getWaiters()
 			}
 			e.waiters = append(e.waiters, req.Done)
 			e.state = mshrDemand // a waiter attached: promote prefetch entries
-			b.mshr[req.Addr] = e
 		}
 		return true
 	}
@@ -230,7 +309,7 @@ func (b *L2Bank) handle(req Request) bool {
 
 	// Miss. The Access above already allocated the tag (fill-on-miss
 	// model); the MSHR tracks the outstanding memory fetch.
-	if len(b.mshr) >= b.u.cfg.L2MSHRs {
+	if b.mshr.n >= b.u.cfg.L2MSHRs {
 		// Structural hazard: refuse. The victim the allocation evicted is
 		// gone for good (tags are timing-only), the line itself is handed
 		// back so it is not claimed before an examination succeeds — which
@@ -245,9 +324,9 @@ func (b *L2Bank) handle(req Request) bool {
 		waiters = append(waiters, req.Done)
 	}
 	b.san.Insert(b.u.eng.Now(), req.Addr)
-	b.mshr[req.Addr] = mshrEntry{state: mshrDemand, waiters: waiters}
+	b.mshr.insert(req.Addr, mshrEntry{state: mshrDemand, waiters: waiters})
 	b.changed() // also covers the prefetch entries this examination inserts below
-	if n := len(b.mshr); n > b.peakMSHR {
+	if n := b.mshr.n; n > b.peakMSHR {
 		b.peakMSHR = n
 	}
 	b.missesIssued++
@@ -276,14 +355,14 @@ func (b *L2Bank) handle(req Request) bool {
 		if b.tags.Probe(pa) {
 			continue
 		}
-		if _, inflight := b.mshr[pa]; inflight {
+		if b.mshr.find(pa) >= 0 {
 			continue
 		}
-		if len(b.mshr) >= prefetchBudget {
+		if b.mshr.n >= prefetchBudget {
 			break
 		}
 		b.san.Insert(b.u.eng.Now(), pa)
-		b.mshr[pa] = mshrEntry{state: mshrPrefetch}
+		b.mshr.insert(pa, mshrEntry{state: mshrPrefetch})
 		b.prefetches++
 		b.u.eng.ScheduleArgH(toMem, b.issueFn, pa<<2, b.issueH)
 	}
@@ -297,9 +376,8 @@ func (b *L2Bank) handle(req Request) bool {
 // observable order as the old one-closure-over-all-waiters form, without
 // the closure.
 func (b *L2Bank) fill(addr uint64, remoteReq bool) {
-	e := b.mshr[addr]
+	e := b.mshr.release(addr)
 	b.san.Release(b.u.eng.Now(), addr)
-	delete(b.mshr, addr)
 	b.changed()
 	if !b.tags.Probe(addr) {
 		if res := b.tags.Fill(addr); res.HasWriteback {

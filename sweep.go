@@ -38,6 +38,7 @@ type PointResult struct {
 // capped accordingly — a sweep of parallel simulations degrades toward
 // running them one after another rather than oversubscribing the host with
 // spinning pools.
+//
 //coyote:globalfree
 func Sweep(points []Point, workers int) []PointResult {
 	workers = capOuterWorkers(workers, len(points),
@@ -60,6 +61,7 @@ func Sweep(points []Point, workers int) []PointResult {
 // deterministic committed state is cached (see internal/rcache), which
 // is also why cached sweeps must never feed simulator-throughput (MIPS)
 // measurements — cmd/fig3 bypasses the cache by construction.
+//
 //coyote:globalfree
 func SweepCached(points []Point, workers int, c *ResultCache) []PointResult {
 	if c == nil {
